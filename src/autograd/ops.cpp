@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -25,23 +26,144 @@ void require_same_shape(const Variable& a, const Variable& b, const char* op) {
   }
 }
 
-// Per-thread scratch reused across inference-only convolution calls (conv2d
-// and the depthwise kernel share the padded buffer sequentially). The padded
-// input and im2col matrix are the two big per-forward allocations; serving
-// runs the same shapes over and over, so keeping the buffers warm per thread
-// removes the allocator from the hot path. The GEMM pack panels live in
-// matching per-thread scratch inside linalg::sgemm, so the whole forward is
-// allocation-free once a serving thread is warm. Gradient-tracking calls
-// cannot use this: their column matrix must outlive the forward for the
-// backward GEMMs.
+// Per-thread scratch reused across inference-only convolution calls, so a
+// warm serving thread runs the whole conv forward without touching the
+// allocator. conv2d pads one image at a time into `padded` (the depthwise
+// kernel reuses it for its padded batch, sequentially) and packs one
+// kNr-wide column strip of the implicit im2col matrix into `strip`; the
+// calling thread also packs the weights into `packed_w`, which every pool
+// lane then reads for the duration of the parallel region. Gradient-tracking
+// calls cannot use this: their column matrix must outlive the forward for
+// the backward GEMMs.
 struct ConvScratch {
   std::vector<float> padded;
-  std::vector<float> cols;
+  std::vector<float> packed_w;
+  std::vector<float> strip;
 };
 
 ConvScratch& conv_scratch() {
   thread_local ConvScratch scratch;
   return scratch;
+}
+
+// The shape of one implicit-GEMM convolution: C[f, oh*ow] = W[f, patch] *
+// cols[patch, oh*ow], where cols is the im2col matrix of a padded image and
+// is never materialized.
+struct ConvGeometry {
+  std::int64_t c, hp, wp, kh, kw, stride, oh, ow, f, patch;
+};
+
+// Pack W[f, patch] into mr-tall row panels, one set per kKc k-block:
+//   packed[f_tiles*mr*kb + (it*kc + kk)*mr + ii] = W[it*mr + ii, kb + kk]
+// zero filled past the last filter — exactly linalg's A-panel layout, so
+// the microtile sees the same operands the explicit GEMM packed.
+void pack_conv_weights(const float* w, std::int64_t f, std::int64_t patch,
+                       std::int64_t mr, float* packed) {
+  const std::int64_t f_tiles = (f + mr - 1) / mr;
+  for (std::int64_t kb = 0; kb < patch; kb += linalg::kKc) {
+    const std::int64_t kc = std::min(linalg::kKc, patch - kb);
+    for (std::int64_t it = 0; it < f_tiles; ++it) {
+      float* dst = packed + f_tiles * mr * kb + it * kc * mr;
+      const std::int64_t rn = std::min(mr, f - it * mr);
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        for (std::int64_t ii = 0; ii < rn; ++ii) {
+          dst[kk * mr + ii] = w[(it * mr + ii) * patch + kb + kk];
+        }
+        std::fill(dst + kk * mr + rn, dst + (kk + 1) * mr, 0.0f);
+      }
+    }
+  }
+}
+
+// Pack columns [j0, j0+jn) of the implicit im2col matrix of one padded
+// image into a patch x kNr strip (row kk = patch index (ic, fy, fx)),
+// zero filled past jn. A full strip inside one output row is a contiguous
+// copy at stride 1 and a strided copy otherwise; a strip that wraps rows
+// gathers through per-column offsets.
+void pack_conv_strip(const float* src, const ConvGeometry& g, std::int64_t j0,
+                     std::int64_t jn, float* strip) {
+  constexpr std::int64_t nr = linalg::kNr;
+  std::int64_t offset[nr];
+  for (std::int64_t jj = 0; jj < jn; ++jj) {
+    const std::int64_t oy = (j0 + jj) / g.ow, ox = (j0 + jj) % g.ow;
+    offset[jj] = oy * g.stride * g.wp + ox * g.stride;
+  }
+  // Visit every tap row of the patch in (ic, fy, fx) order.
+  auto for_each_tap = [&](auto&& copy) {
+    float* dst = strip;
+    for (std::int64_t ic = 0; ic < g.c; ++ic) {
+      for (std::int64_t fy = 0; fy < g.kh; ++fy) {
+        const float* row = src + (ic * g.hp + fy) * g.wp;
+        for (std::int64_t fx = 0; fx < g.kw; ++fx, dst += nr) copy(row + fx, dst);
+      }
+    }
+  };
+  const bool one_row = jn == nr && j0 % g.ow + nr <= g.ow;
+  if (one_row && g.stride == 1) {
+    for_each_tap([&](const float* tap, float* dst) {
+      std::memcpy(dst, tap + offset[0], nr * sizeof(float));
+    });
+  } else if (one_row && g.stride == 2) {
+    for_each_tap([&](const float* tap, float* dst) {
+      for (std::int64_t jj = 0; jj < nr; ++jj) dst[jj] = tap[offset[0] + 2 * jj];
+    });
+  } else {
+    for_each_tap([&](const float* tap, float* dst) {
+      for (std::int64_t jj = 0; jj < jn; ++jj) dst[jj] = tap[offset[jj]];
+      std::fill(dst + jn, dst + nr, 0.0f);
+    });
+  }
+}
+
+// One image of the implicit-GEMM forward: out[f, oh*ow] = W * cols + bias.
+// Per output element this is the explicit GEMM's exact float program — the
+// same microtile over the same packed operands, ascending k split at kKc,
+// the first block stored and later blocks added — with the bias added after
+// the last block, as the explicit path added it after the GEMM.
+void conv_image_forward(const float* image, const ConvGeometry& g, int pad,
+                        const float* packed_w, const kernels::GemmMicrokernel& mk,
+                        const float* bias, float* out) {
+  auto& scratch = conv_scratch();
+  const float* src = image;
+  if (pad > 0) {
+    scratch.padded.resize(static_cast<std::size_t>(g.c * g.hp * g.wp));
+    tensor::pad2d_into(image, g.c, g.hp - 2 * pad, g.wp - 2 * pad, pad, pad,
+                       scratch.padded.data());
+    src = scratch.padded.data();
+  }
+  constexpr std::int64_t nr = linalg::kNr;
+  scratch.strip.resize(static_cast<std::size_t>(g.patch * nr));
+  float* strip = scratch.strip.data();
+  const std::int64_t mr = mk.mr;
+  const std::int64_t f_tiles = (g.f + mr - 1) / mr;
+  const std::int64_t cols = g.oh * g.ow;
+  for (std::int64_t j0 = 0; j0 < cols; j0 += nr) {
+    const std::int64_t jn = std::min(nr, cols - j0);
+    pack_conv_strip(src, g, j0, jn, strip);
+    for (std::int64_t kb = 0; kb < g.patch; kb += linalg::kKc) {
+      const std::int64_t kc = std::min(linalg::kKc, g.patch - kb);
+      const bool first = kb == 0;
+      const bool last = kb + kc == g.patch;
+      for (std::int64_t it = 0; it < f_tiles; ++it) {
+        float acc[kernels::kGemmMaxMr * nr];
+        mk.fn(kc, packed_w + f_tiles * mr * kb + it * kc * mr, strip + kb * nr, nr, acc);
+        const std::int64_t rn = std::min(mr, g.f - it * mr);
+        for (std::int64_t ii = 0; ii < rn; ++ii) {
+          const std::int64_t row = it * mr + ii;
+          float* crow = out + row * cols + j0;
+          const float* arow = acc + ii * nr;
+          if (first) {
+            for (std::int64_t jj = 0; jj < jn; ++jj) crow[jj] = arow[jj];
+          } else {
+            for (std::int64_t jj = 0; jj < jn; ++jj) crow[jj] += arow[jj];
+          }
+          if (last && bias != nullptr) {
+            for (std::int64_t jj = 0; jj < jn; ++jj) crow[jj] += bias[row];
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -308,55 +430,57 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
   const std::int64_t hp = h + 2 * pad, wp = wdim + 2 * pad;
   const std::int64_t oh = tensor::conv_out_size(hp, kh, stride);
   const std::int64_t ow = tensor::conv_out_size(wp, kw, stride);
+  if (oh <= 0 || ow <= 0) throw std::invalid_argument("conv2d: kernel larger than input");
   const std::int64_t patch = c * kh * kw;
 
   const bool needs_grad =
       grad_enabled() && (x.requires_grad() || w.requires_grad() ||
                          (b.defined() && b.requires_grad()));
-  const float* wdata = w.value().data();
-
-  auto add_bias = [&](Tensor& out) {
-    if (!b.defined()) return;
-    const float* bias = b.value().data();
-    for (std::int64_t in = 0; in < n; ++in)
-      for (std::int64_t ic = 0; ic < f; ++ic) {
-        float* plane = out.data() + (in * f + ic) * oh * ow;
-        for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += bias[ic];
-      }
-  };
-  auto gemm_batch = [&](const float* cols_data, Tensor& out) {
+  if (!needs_grad) {
+    // Inference-only path: an implicit GEMM, one image at a time, so no
+    // column matrix is written and read back. The weights are packed once
+    // per call; each image is padded into per-thread scratch and its column
+    // strips are packed straight from the padded planes into an L1-resident
+    // tile. Parallel over images only, so a batch-1 call runs on its
+    // calling thread: fanning one image out over the pool did not pay at
+    // batch 1 (README "Implicit-GEMM conv forward").
+    const kernels::GemmMicrokernel& mk =
+        kernels::gemm_microkernel(util::active_kernel_target());
+    const ConvGeometry g{c, hp, wp, kh, kw, stride, oh, ow, f, patch};
+    auto& packed = conv_scratch().packed_w;
+    packed.resize(static_cast<std::size_t>((f + mk.mr - 1) / mk.mr * mk.mr * patch));
+    pack_conv_weights(w.value().data(), f, patch, mk.mr, packed.data());
+    const float* packed_w = packed.data();
+    const float* bias = b.defined() ? b.value().data() : nullptr;
+    const float* xv = x.value().data();
+    Tensor out(Shape::nchw(n, f, oh, ow));
     util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
       for (std::int64_t in = n0; in < n1; ++in) {
-        linalg::sgemm_nn(f, oh * ow, patch, wdata, cols_data + in * patch * oh * ow,
-                         out.data() + in * f * oh * ow, /*accumulate=*/false);
+        conv_image_forward(xv + in * c * h * wdim, g, pad, packed_w, mk, bias,
+                           out.data() + in * f * oh * ow);
       }
     }, /*min_chunk=*/1);
-  };
-
-  if (!needs_grad) {
-    // Inference-only path: no graph is built and the backward GEMMs never
-    // run, so the padded/column buffers can live in per-thread scratch
-    // instead of being allocated (and retained by the closure) per call.
-    auto& scratch = conv_scratch();
-    const float* padded = x.value().data();
-    if (pad > 0) {
-      scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
-      tensor::pad2d_into(x.value(), pad, pad, scratch.padded.data());
-      padded = scratch.padded.data();
-    }
-    scratch.cols.resize(static_cast<std::size_t>(n * patch * oh * ow));
-    tensor::im2col_into(padded, n, c, hp, wp, kh, kw, stride, stride, scratch.cols.data());
-    Tensor out(Shape::nchw(n, f, oh, ow));
-    gemm_batch(scratch.cols.data(), out);
-    add_bias(out);
     return Variable::constant(std::move(out));
   }
 
   const Tensor xp = tensor::pad2d(x.value(), pad, pad);
   const Tensor cols = tensor::im2col(xp, kh, kw, stride, stride);  // [n, patch, oh*ow]
   Tensor out(Shape::nchw(n, f, oh, ow));
-  gemm_batch(cols.data(), out);
-  add_bias(out);
+  const float* wdata = w.value().data();
+  util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
+    for (std::int64_t in = n0; in < n1; ++in) {
+      linalg::sgemm_nn(f, oh * ow, patch, wdata, cols.data() + in * patch * oh * ow,
+                       out.data() + in * f * oh * ow, /*accumulate=*/false);
+    }
+  }, /*min_chunk=*/1);
+  if (b.defined()) {
+    const float* bias = b.value().data();
+    for (std::int64_t in = 0; in < n; ++in)
+      for (std::int64_t ic = 0; ic < f; ++ic) {
+        float* plane = out.data() + (in * f + ic) * oh * ow;
+        for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += bias[ic];
+      }
+  }
 
   return make_op(
       "conv2d", std::move(out), {x, w, b},
@@ -378,11 +502,11 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
         }
         if (x.requires_grad()) {
           Tensor dcols(Shape{n, patch, oh * ow});
-          const float* wdata2 = w.value().data();
+          const float* wdata = w.value().data();
           util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
             for (std::int64_t in = n0; in < n1; ++in) {
               // dCols_in[patch, oh*ow] = W^T * G_in, W stored [f, patch].
-              linalg::sgemm_tn(patch, oh * ow, f, wdata2,
+              linalg::sgemm_tn(patch, oh * ow, f, wdata,
                                g.data() + in * f * oh * ow,
                                dcols.data() + in * patch * oh * ow,
                                /*accumulate=*/false);
@@ -419,7 +543,7 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
     const std::int64_t hp = h + 2 * ph, wp = wdim + 2 * pw;
     auto& scratch = conv_scratch();
     scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
-    tensor::pad2d_into(x.value(), ph, pw, scratch.padded.data());
+    tensor::pad2d_into(x.value().data(), n * c, h, wdim, ph, pw, scratch.padded.data());
     const float* padded = scratch.padded.data();
     Tensor out(x.shape());
     const float* wv = w.value().data();

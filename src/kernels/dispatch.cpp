@@ -131,6 +131,14 @@ const GemmMicrokernel& gemm_microkernel(util::KernelTarget target) {
   return kGemmScalar;
 }
 
+GemmRowFn gemm_row(util::KernelTarget target) {
+#if defined(BLURNET_HAVE_AVX2_KERNELS)
+  if (target == util::KernelTarget::kAvx2) return detail::gemm_row_avx2;
+#endif
+  (void)target;
+  return nullptr;  // the driver keeps the microtile path
+}
+
 TapRowFn tap_row(util::KernelTarget target) {
   switch (target) {
     case util::KernelTarget::kAvx2:

@@ -13,13 +13,15 @@
 //     (one rounding per term). Within one target results are bitwise
 //     deterministic; across targets GEMM low bits may differ. The fused
 //     targets are bitwise-modelled by linalg::sgemm_reference_fused.
+//   * gemm_row folds each lane exactly like its target's microtile.
 //   * everything else (tap rows, warp rows, median3, dct8x8) reproduces
 //     the scalar double-accumulation order exactly and is bitwise equal
 //     to scalar on every target.
 //
 // A kernel accessor may return nullptr for a target with no specialized
-// implementation (e.g. warp on neon): callers must fall back to their
-// scalar path. gemm_microkernel() always returns a usable descriptor.
+// implementation (e.g. warp on neon, gemm_row on scalar): callers must fall
+// back to their scalar path. gemm_microkernel() always returns a usable
+// descriptor.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +55,18 @@ struct GemmMicrokernel {
 /// Never null; scalar has mr == linalg::kMr (4), fused targets mr == 8 (avx2)
 /// or 4 (neon).
 const GemmMicrokernel& gemm_microkernel(util::KernelTarget target);
+
+/// One row of A against a row-major slice of B: acc[j] (overwritten) =
+/// sum over kk<kc, ascending, of a[kk] * b[kk*ldb + j], for j in [0, n).
+/// Each acc[j] folds exactly as the target's microtile lane does, so a GEMM
+/// with fewer rows than mr can skip the zero-padded microtile rows and stay
+/// bitwise equal to it.
+using GemmRowFn = void (*)(std::int64_t kc, const float* a, const float* b,
+                           std::int64_t ldb, std::int64_t n, float* acc);
+
+/// nullptr for targets without a specialization (the driver keeps the
+/// microtile path).
+GemmRowFn gemm_row(util::KernelTarget target);
 
 // ---- convolution tap rows ---------------------------------------------------
 

@@ -27,6 +27,8 @@ const Dct8Table& dct8_table();
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
 void gemm_microtile_avx2(std::int64_t kc, const float* ap, const float* b,
                          std::int64_t ldb, float* acc);
+void gemm_row_avx2(std::int64_t kc, const float* a, const float* b,
+                   std::int64_t ldb, std::int64_t n, float* acc);
 void tap_row_avx2(const float* src, std::int64_t stride, const float* ker,
                   int kh, int kw, float* dst, std::int64_t count);
 void warp_row_avx2(const float* src, std::int64_t h, std::int64_t w,

@@ -5,10 +5,11 @@
 // reported AVX2+FMA, so no function below needs its own runtime check.
 //
 // Numerics:
-//   * gemm_microtile_avx2 accumulates with _mm256_fmadd_ps — one rounding
-//     per term. Bitwise-deterministic, bitwise-modelled by
-//     linalg::sgemm_reference_fused, but NOT bit-equal to the scalar
-//     two-rounding microtile (the documented per-target GEMM contract).
+//   * gemm_microtile_avx2 and gemm_row_avx2 accumulate with
+//     _mm256_fmadd_ps — one rounding per term. Bitwise-deterministic,
+//     bitwise-modelled by linalg::sgemm_reference_fused, but NOT bit-equal
+//     to the scalar two-rounding microtile (the documented per-target GEMM
+//     contract).
 //   * every other kernel reproduces the scalar double-precision op order
 //     exactly (no FMA, no reassociation) and is bit-equal to scalar; the
 //     scalar remainder loops below are verbatim copies of the reference
@@ -61,13 +62,98 @@ void gemm_microtile_avx2(std::int64_t kc, const float* ap, const float* b,
   _mm256_storeu_ps(acc + 56, c7);
 }
 
+// ---- GEMM row (m < 8) ---------------------------------------------------------
+
+namespace {
+
+// Lane mask selecting the first `n` (0..8) floats of a vector.
+inline __m256i first_lanes(std::int64_t n) {
+  const __m256i index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)), index);
+}
+
+}  // namespace
+
+void gemm_row_avx2(std::int64_t kc, const float* a, const float* b,
+                   std::int64_t ldb, std::int64_t n, float* acc) {
+  // Four independent 8-column chains per pass, each lane the same
+  // _mm256_fmadd_ps fold from zero as the 8x8 microtile's lane, so results
+  // are bitwise equal to the microtile path. The last pass masks its loads
+  // and stores: masked-off lanes never touch memory.
+  std::int64_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    __m256 c0 = _mm256_setzero_ps();
+    __m256 c1 = _mm256_setzero_ps();
+    __m256 c2 = _mm256_setzero_ps();
+    __m256 c3 = _mm256_setzero_ps();
+    for (std::int64_t kk = 0; kk < kc; ++kk) {
+      const __m256 av = _mm256_broadcast_ss(a + kk);
+      const float* brow = b + kk * ldb + j;
+      c0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow), c0);
+      c1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8), c1);
+      c2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 16), c2);
+      c3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 24), c3);
+    }
+    _mm256_storeu_ps(acc + j, c0);
+    _mm256_storeu_ps(acc + j + 8, c1);
+    _mm256_storeu_ps(acc + j + 16, c2);
+    _mm256_storeu_ps(acc + j + 24, c3);
+  }
+  if (j == n) return;
+  const std::int64_t rest = n - j;
+  const __m256i m0 = first_lanes(rest);
+  const __m256i m1 = first_lanes(rest - 8);
+  const __m256i m2 = first_lanes(rest - 16);
+  const __m256i m3 = first_lanes(rest - 24);
+  __m256 c0 = _mm256_setzero_ps();
+  __m256 c1 = _mm256_setzero_ps();
+  __m256 c2 = _mm256_setzero_ps();
+  __m256 c3 = _mm256_setzero_ps();
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const __m256 av = _mm256_broadcast_ss(a + kk);
+    const float* brow = b + kk * ldb + j;
+    c0 = _mm256_fmadd_ps(av, _mm256_maskload_ps(brow, m0), c0);
+    c1 = _mm256_fmadd_ps(av, _mm256_maskload_ps(brow + 8, m1), c1);
+    c2 = _mm256_fmadd_ps(av, _mm256_maskload_ps(brow + 16, m2), c2);
+    c3 = _mm256_fmadd_ps(av, _mm256_maskload_ps(brow + 24, m3), c3);
+  }
+  _mm256_maskstore_ps(acc + j, m0, c0);
+  _mm256_maskstore_ps(acc + j + 8, m1, c1);
+  _mm256_maskstore_ps(acc + j + 16, m2, c2);
+  _mm256_maskstore_ps(acc + j + 24, m3, c3);
+}
+
 // ---- convolution tap rows ---------------------------------------------------
 
 void tap_row_avx2(const float* src, std::int64_t stride, const float* ker,
                   int kh, int kw, float* dst, std::int64_t count) {
   std::int64_t i = 0;
-  // Four output pixels per iteration, each lane an independent double
-  // accumulator walking the taps in the scalar (fy, fx) order.
+  // Sixteen output pixels per iteration in four independent 4-lane chains,
+  // so the double adds overlap instead of waiting on one another. Every
+  // lane is still its own double accumulator walking the taps in the scalar
+  // (fy, fx) order.
+  for (; i + 16 <= count; i += 16) {
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd();
+    __m256d acc3 = _mm256_setzero_pd();
+    for (int fy = 0; fy < kh; ++fy) {
+      const float* row = src + fy * stride + i;
+      for (int fx = 0; fx < kw; ++fx) {
+        const __m256d tap =
+            _mm256_set1_pd(static_cast<double>(ker[fy * kw + fx]));
+        const float* p = row + fx;
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(tap, _mm256_cvtps_pd(_mm_loadu_ps(p))));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(tap, _mm256_cvtps_pd(_mm_loadu_ps(p + 4))));
+        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(tap, _mm256_cvtps_pd(_mm_loadu_ps(p + 8))));
+        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(tap, _mm256_cvtps_pd(_mm_loadu_ps(p + 12))));
+      }
+    }
+    _mm_storeu_ps(dst + i, _mm256_cvtpd_ps(acc0));
+    _mm_storeu_ps(dst + i + 4, _mm256_cvtpd_ps(acc1));
+    _mm_storeu_ps(dst + i + 8, _mm256_cvtpd_ps(acc2));
+    _mm_storeu_ps(dst + i + 12, _mm256_cvtpd_ps(acc3));
+  }
   for (; i + 4 <= count; i += 4) {
     __m256d acc = _mm256_setzero_pd();
     for (int fy = 0; fy < kh; ++fy) {

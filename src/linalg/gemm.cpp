@@ -95,6 +95,36 @@ static_assert(kNr == kernels::kGemmNr, "B pack width must match the microtiles")
 static_assert(kMc % kernels::kGemmMaxMr == 0,
               "panel rows must hold whole microtiles for every target");
 
+// A GEMM with fewer rows than the microtile (the dense head at small batch)
+// runs row by row through the target's row kernel instead of computing
+// mr - m zero rows. Each row's k-block is gathered into a contiguous buffer
+// and B is read in place, so per element this is the microtile's fold over
+// the same operands, k-blocks stored then added in ascending order. Serial:
+// m < mr is one microtile row, which the tiled path never split either.
+void sgemm_rows(kernels::GemmRowFn row_fn, Trans trans_a, std::int64_t m,
+                std::int64_t n, std::int64_t k, const float* a, std::int64_t lda,
+                const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
+                bool accumulate) {
+  float arow[kKc];
+  float acc[kNc];
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t jc = 0; jc < n; jc += kNc) {
+      const std::int64_t nc = std::min(kNc, n - jc);
+      float* crow = c + i * ldc + jc;
+      for (std::int64_t kb = 0; kb < k; kb += kKc) {
+        const std::int64_t kc = std::min(kKc, k - kb);
+        for (std::int64_t kk = 0; kk < kc; ++kk) arow[kk] = load_a(trans_a, a, lda, i, kb + kk);
+        row_fn(kc, arow, b + kb * ldb + jc, ldb, nc, acc);
+        if (kb == 0 && !accumulate) {
+          std::copy(acc, acc + nc, crow);
+        } else {
+          for (std::int64_t jj = 0; jj < nc; ++jj) crow[jj] += acc[jj];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
@@ -114,9 +144,15 @@ void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
   // the parallel chunking below, and both depend only on the target — so
   // within one target every chunk boundary (and result) stays bitwise
   // identical for any worker count.
-  const kernels::GemmMicrokernel& mk =
-      kernels::gemm_microkernel(util::active_kernel_target());
+  const util::KernelTarget target = util::active_kernel_target();
+  const kernels::GemmMicrokernel& mk = kernels::gemm_microkernel(target);
   const std::int64_t mr = mk.mr;
+  if (m < mr && trans_b == Trans::kNo) {
+    if (const kernels::GemmRowFn row_fn = kernels::gemm_row(target)) {
+      sgemm_rows(row_fn, trans_a, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+      return;
+    }
+  }
 
   for (std::int64_t jc = 0; jc < n; jc += kNc) {
     const std::int64_t nc = std::min(kNc, n - jc);

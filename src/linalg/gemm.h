@@ -1,9 +1,11 @@
 // Single-precision GEMM shared by every matmul / convolution path.
 //
 // One packed, cache-blocked, register-tiled kernel sits behind
-// tensor::matmul{,_tn,_nt}, the conv forward im2col GEMM, the conv backward
-// accumulate GEMMs and the Tikhonov filter-plane GEMMs, so the whole system
-// has exactly one set of GEMM numerics.
+// tensor::matmul{,_tn,_nt}, the graph-path conv forward im2col GEMM, the
+// conv backward accumulate GEMMs and the Tikhonov filter-plane GEMMs; the
+// inference conv forward (autograd::conv2d) drives the same microtile over
+// the same panel layouts as an implicit GEMM, so the whole system has
+// exactly one set of GEMM numerics.
 //
 // Numeric contract (identical for every transpose variant):
 //   * float32 accumulation, no widening to double;
@@ -28,7 +30,9 @@
 // engine guarantees across replica counts — so results are bitwise identical
 // for any BLURNET_WORKERS value. Each worker packs its own A panels into
 // thread-local scratch and all workers read one shared packed-B panel, so a
-// warm serving thread performs no allocations here.
+// warm serving thread performs no allocations here. A GEMM with fewer rows
+// than the target's microtile runs serially through kernels::gemm_row where
+// the target has one, with the same per-element fold.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "src/nn/lisa_cnn.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/nn/init.h"
@@ -88,21 +89,30 @@ LisaCnn::LisaCnn(LisaCnnConfig config) : config_(config) {
         true);
   }
   if (config.fixed_filter.placement != FilterPlacement::kNone) {
-    fixed_kernel_ = signal::make_blur_kernel(config.fixed_filter.kernel,
-                                             config.fixed_filter.kind);
+    // A fixed blur is a depthwise convolution whose kernel is shared across
+    // channels; express it once as a constant per-channel kernel stack for
+    // the channel count at the configured placement.
+    const Tensor kernel = signal::make_blur_kernel(config.fixed_filter.kernel,
+                                                   config.fixed_filter.kind);
+    std::int64_t channels = config.in_channels;
+    switch (config.fixed_filter.placement) {
+      case FilterPlacement::kAfterLayer1: channels = config.conv1_filters; break;
+      case FilterPlacement::kAfterLayer2: channels = config.conv2_filters; break;
+      case FilterPlacement::kAfterLayer3: channels = config.conv3_filters; break;
+      case FilterPlacement::kInput:
+      case FilterPlacement::kNone: break;
+    }
+    const int k = config.fixed_filter.kernel;
+    const std::int64_t k2 = kernel.numel();
+    fixed_stack_ = Tensor(Shape{channels, k, k});
+    for (std::int64_t c = 0; c < channels; ++c) {
+      std::copy(kernel.data(), kernel.data() + k2, fixed_stack_.data() + c * k2);
+    }
   }
 }
 
 Variable LisaCnn::apply_fixed_filter(const Variable& x) const {
-  // A fixed blur is a depthwise convolution whose kernel is shared across
-  // channels; express it as a constant per-channel kernel stack.
-  const std::int64_t channels = x.shape()[1];
-  const int k = config_.fixed_filter.kernel;
-  Tensor stack(Shape{channels, k, k});
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (int i = 0; i < k * k; ++i) stack[c * k * k + i] = fixed_kernel_[i];
-  }
-  return autograd::depthwise_conv2d_same(x, Variable::constant(stack), Variable());
+  return autograd::depthwise_conv2d_same(x, Variable::constant(fixed_stack_), Variable());
 }
 
 ForwardResult LisaCnn::forward(const Variable& x) const {

@@ -114,7 +114,7 @@ class LisaCnn {
   autograd::Variable conv3_w_, conv3_b_;
   autograd::Variable fc_w_, fc_b_;
   autograd::Variable dw_weight_;         // learnable depthwise (optional)
-  tensor::Tensor fixed_kernel_;          // fixed blur kernel (optional)
+  tensor::Tensor fixed_stack_;           // fixed blur kernel per channel, [C,k,k]
   std::int64_t flat_features_ = 0;
 };
 

@@ -149,19 +149,18 @@ Tensor pad2d(const Tensor& x, int pad_h, int pad_w) {
   if (pad_h == 0 && pad_w == 0) return x;
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   Tensor out(Shape::nchw(n, c, h + 2 * pad_h, w + 2 * pad_w));
-  pad2d_into(x, pad_h, pad_w, out.data());
+  pad2d_into(x.data(), n * c, h, w, pad_h, pad_w, out.data());
   return out;
 }
 
-void pad2d_into(const Tensor& x, int pad_h, int pad_w, float* out) {
-  if (x.rank() != 4) throw std::invalid_argument("pad2d_into: expected NCHW");
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+void pad2d_into(const float* x, std::int64_t planes, std::int64_t h, std::int64_t w,
+                int pad_h, int pad_w, float* out) {
   const std::int64_t hp = h + 2 * pad_h, wp = w + 2 * pad_w;
-  for (std::int64_t p = 0; p < n * c; ++p) {
+  for (std::int64_t p = 0; p < planes; ++p) {
     float* plane = out + p * hp * wp;
     std::fill(plane, plane + pad_h * wp, 0.0f);
     for (std::int64_t ih = 0; ih < h; ++ih) {
-      const float* src = x.data() + (p * h + ih) * w;
+      const float* src = x + (p * h + ih) * w;
       float* dst = plane + (ih + pad_h) * wp;
       std::fill(dst, dst + pad_w, 0.0f);
       std::copy(src, src + w, dst + pad_w);
@@ -201,25 +200,16 @@ Tensor im2col(const Tensor& x, int kh, int kw, int stride_h, int stride_w) {
   const std::int64_t ow = conv_out_size(w, kw, stride_w);
   if (oh <= 0 || ow <= 0) throw std::invalid_argument("im2col: kernel larger than input");
   Tensor out(Shape{n, c * kh * kw, oh * ow});
-  im2col_into(x.data(), n, c, h, w, kh, kw, stride_h, stride_w, out.data());
-  return out;
-}
-
-void im2col_into(const float* x, std::int64_t n, std::int64_t c, std::int64_t h,
-                 std::int64_t w, int kh, int kw, int stride_h, int stride_w, float* out) {
-  const std::int64_t oh = conv_out_size(h, kh, stride_h);
-  const std::int64_t ow = conv_out_size(w, kw, stride_w);
-  if (oh <= 0 || ow <= 0) throw std::invalid_argument("im2col_into: kernel larger than input");
   const std::int64_t patch = c * kh * kw;
   util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
     for (std::int64_t in = n0; in < n1; ++in) {
-      float* base = out + in * patch * oh * ow;
+      float* base = out.data() + in * patch * oh * ow;
       for (std::int64_t ic = 0; ic < c; ++ic) {
         for (int fy = 0; fy < kh; ++fy) {
           for (int fx = 0; fx < kw; ++fx) {
             const std::int64_t row = (ic * kh + fy) * kw + fx;
             float* dst = base + row * oh * ow;
-            const float* src_plane = x + (in * c + ic) * h * w;
+            const float* src_plane = x.data() + (in * c + ic) * h * w;
             for (std::int64_t oy = 0; oy < oh; ++oy) {
               const std::int64_t iy = oy * stride_h + fy;
               const float* src = src_plane + iy * w + fx;
@@ -232,6 +222,7 @@ void im2col_into(const float* x, std::int64_t n, std::int64_t c, std::int64_t h,
       }
     }
   }, /*min_chunk=*/1);
+  return out;
 }
 
 Tensor col2im(const Tensor& cols, std::int64_t n, std::int64_t c, std::int64_t h,

@@ -54,16 +54,13 @@ Tensor unpad2d(const Tensor& x, int pad_h, int pad_w);
 /// [N, C*kh*kw, out_h*out_w] flattened to a rank-3 shape.
 Tensor im2col(const Tensor& x, int kh, int kw, int stride_h, int stride_w);
 
-/// Scratch-buffer variants used by the inference hot path: same layouts as
-/// pad2d / im2col but writing into caller-owned buffers (sized
-/// n*c*(h+2*pad_h)*(w+2*pad_w) and n*(c*kh*kw)*(out_h*out_w) respectively),
-/// so repeated forward passes reuse one allocation instead of mallocing per
-/// call. pad2d_into writes the entire padded buffer — zero border plus copied
-/// interior — in one pass, so reused scratch needs no pre-clearing.
-/// im2col_into reads a raw padded NCHW buffer of the given dims.
-void pad2d_into(const Tensor& x, int pad_h, int pad_w, float* out);
-void im2col_into(const float* x, std::int64_t n, std::int64_t c, std::int64_t h,
-                 std::int64_t w, int kh, int kw, int stride_h, int stride_w, float* out);
+/// Scratch-buffer variant of pad2d for the inference hot path: pads `planes`
+/// consecutive [h, w] planes into a caller-owned buffer of
+/// planes*(h+2*pad_h)*(w+2*pad_w) floats, so repeated forward passes reuse
+/// one allocation. It writes the entire padded buffer — zero border plus
+/// copied interior — in one pass, so reused scratch needs no pre-clearing.
+void pad2d_into(const float* x, std::int64_t planes, std::int64_t h, std::int64_t w,
+                int pad_h, int pad_w, float* out);
 /// Adjoint of im2col: scatter columns back into an NCHW buffer of shape
 /// [n, c, h, w] (padded sizes).
 Tensor col2im(const Tensor& cols, std::int64_t n, std::int64_t c, std::int64_t h,

@@ -9,6 +9,7 @@
 #include "src/signal/dct.h"
 #include "src/signal/kernels.h"
 #include "src/tensor/ops.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "tests/test_helpers.h"
 
@@ -48,21 +49,55 @@ TEST(Variable, NoGradGuardDisablesGraphBuilding) {
   EXPECT_TRUE(y.requires_grad());
 }
 
+// The inference conv is an implicit GEMM over packed column strips; the
+// graph path materializes im2col and runs linalg::sgemm. Both must run the
+// same float program per output element, so they agree bitwise under every
+// kernel target and worker count, across shapes that hit every strip and
+// k-block edge.
+struct ConvCase {
+  std::int64_t n, c, h, w, f;
+  int k, stride, pad;
+  bool bias;
+  const char* label;
+};
+
 TEST(Ops, Conv2dInferencePathMatchesGradPath) {
+  const ConvCase cases[] = {
+      {1, 3, 32, 32, 16, 5, 1, 2, true, "paper conv1, batch 1"},
+      {64, 16, 32, 32, 32, 5, 2, 2, true, "paper conv2 (two k-blocks), batch 64"},
+      {3, 32, 16, 16, 64, 3, 2, 1, true, "paper conv3, batch 3"},
+      {3, 24, 9, 9, 5, 5, 1, 2, true, "three k-blocks, f=5, ow=9"},
+      {3, 3, 11, 13, 13, 3, 2, 1, true, "f=13, ow=7: strips wrap rows, stride 2"},
+      {1, 2, 7, 12, 4, 3, 1, 0, false, "unpadded, ow=10, no bias"},
+      {2, 2, 10, 10, 3, 3, 3, 1, true, "stride 3"},
+      {2, 3, 8, 8, 4, 3, 1, 1, true, "small stride 1"},
+  };
   util::Rng rng(21);
-  const auto x = Tensor::randn(Shape::nchw(2, 3, 8, 8), rng);
-  const auto w = Tensor::randn(Shape{4, 3, 3, 3}, rng, 0.0f, 0.2f);
-  const auto b = Tensor::randn(Shape::vec(4), rng);
-  const auto weights = Variable::leaf(w.clone(), true);
-  const auto bias = Variable::leaf(b.clone(), true);
-  const auto grad_path = conv2d(Variable::constant(x), weights, bias, 1, 1).value();
-  Tensor fast_path;
-  {
-    NoGradGuard no_grad;
-    fast_path = conv2d(Variable::constant(x), weights, bias, 1, 1).value();
-  }
-  for (std::int64_t i = 0; i < grad_path.numel(); ++i) {
-    EXPECT_EQ(fast_path[i], grad_path[i]);  // bitwise: same arithmetic, reused scratch
+  for (const ConvCase& cc : cases) {
+    const auto x = Variable::constant(Tensor::randn(Shape::nchw(cc.n, cc.c, cc.h, cc.w), rng));
+    const auto weights = Variable::leaf(
+        Tensor::randn(Shape{cc.f, cc.c, cc.k, cc.k}, rng, 0.0f, 0.2f), true);
+    const auto bias =
+        cc.bias ? Variable::leaf(Tensor::randn(Shape::vec(cc.f), rng), true) : Variable();
+    for (const auto target : blurnet::testing::available_kernel_targets()) {
+      blurnet::testing::ScopedKernelTarget scoped(target);
+      const Tensor grad_path = conv2d(x, weights, bias, cc.stride, cc.pad).value();
+      for (const int workers : {1, 2, 4}) {
+        util::set_parallel_workers(workers);
+        Tensor fast_path;
+        {
+          NoGradGuard no_grad;
+          fast_path = conv2d(x, weights, bias, cc.stride, cc.pad).value();
+        }
+        ASSERT_EQ(fast_path.shape(), grad_path.shape()) << cc.label;
+        for (std::int64_t i = 0; i < grad_path.numel(); ++i) {
+          ASSERT_EQ(fast_path[i], grad_path[i])
+              << cc.label << ", " << util::kernel_target_name(target) << ", workers "
+              << workers << ", elem " << i;
+        }
+      }
+      util::reset_parallel_workers();
+    }
   }
 }
 

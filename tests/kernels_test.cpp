@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/kernels/dispatch.h"
@@ -89,6 +90,9 @@ TEST(KernelTable, GemmMicrokernelDescriptorsAreSane) {
       EXPECT_TRUE(mk.fused);  // SIMD targets accumulate with hardware FMA
     }
   }
+  // The row kernel is an optional specialization: scalar has none, so the
+  // GEMM driver keeps the microtile path there.
+  EXPECT_EQ(kernels::gemm_row(KernelTarget::kScalar), nullptr);
   // tap/warp dispatch can never come back null; callers rely on it.
   for (const auto target : available_kernel_targets()) {
     EXPECT_NE(kernels::tap_row(target), nullptr);
@@ -97,31 +101,31 @@ TEST(KernelTable, GemmMicrokernelDescriptorsAreSane) {
 }
 
 // Direct unit check of the tap-row kernels: every target must reproduce the
-// scalar double-accumulator tap fold bitwise, including the non-multiple-of-
-// vector-width tail.
+// scalar double-accumulator tap fold bitwise. Lengths 1..40 cover the 16-px
+// multi-chain body, the 4-px body and the scalar tail, alone and combined.
 TEST(KernelTable, TapRowMatchesScalarBitwise) {
   util::Rng rng(101);
-  const int kh = 3, kw = 5;
-  // Counts straddle the 4-wide AVX2 body: 1..3 all-tail, 11 body+tail.
-  for (const std::int64_t count : {std::int64_t{1}, std::int64_t{3},
-                                   std::int64_t{8}, std::int64_t{11}}) {
-    const std::int64_t stride = count + kw - 1;
-    std::vector<float> src(static_cast<std::size_t>(stride * kh));
-    std::vector<float> ker(static_cast<std::size_t>(kh * kw));
-    for (auto& v : src) v = static_cast<float>(rng.normal());
-    for (auto& v : ker) v = static_cast<float>(rng.normal());
-    std::vector<float> expected(static_cast<std::size_t>(count));
-    kernels::tap_row(KernelTarget::kScalar)(src.data(), stride, ker.data(), kh,
-                                            kw, expected.data(), count);
-    for (const auto target : available_kernel_targets()) {
-      if (target == KernelTarget::kScalar) continue;
-      std::vector<float> got(static_cast<std::size_t>(count), -999.0f);
-      kernels::tap_row(target)(src.data(), stride, ker.data(), kh, kw,
-                               got.data(), count);
-      for (std::int64_t i = 0; i < count; ++i) {
-        ASSERT_EQ(got[static_cast<std::size_t>(i)],
-                  expected[static_cast<std::size_t>(i)])
-            << kernel_target_name(target) << " count " << count << " elem " << i;
+  for (const auto& [kh, kw] : {std::pair{3, 5}, std::pair{5, 5}}) {
+    for (std::int64_t count = 1; count <= 40; ++count) {
+      const std::int64_t stride = count + kw - 1;
+      std::vector<float> src(static_cast<std::size_t>(stride * kh));
+      std::vector<float> ker(static_cast<std::size_t>(kh * kw));
+      for (auto& v : src) v = static_cast<float>(rng.normal());
+      for (auto& v : ker) v = static_cast<float>(rng.normal());
+      std::vector<float> expected(static_cast<std::size_t>(count));
+      kernels::tap_row(KernelTarget::kScalar)(src.data(), stride, ker.data(), kh,
+                                              kw, expected.data(), count);
+      for (const auto target : available_kernel_targets()) {
+        if (target == KernelTarget::kScalar) continue;
+        std::vector<float> got(static_cast<std::size_t>(count), -999.0f);
+        kernels::tap_row(target)(src.data(), stride, ker.data(), kh, kw,
+                                 got.data(), count);
+        for (std::int64_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                    expected[static_cast<std::size_t>(i)])
+              << kernel_target_name(target) << " " << kh << "x" << kw << " count "
+              << count << " elem " << i;
+        }
       }
     }
   }

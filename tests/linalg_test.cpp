@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -445,6 +446,88 @@ TEST(KernelDispatch, GemmNanAndInfPropagateUnderEveryTarget) {
       const Tensor nn = tensor::matmul(a, b);
       EXPECT_TRUE(std::isnan(nn[0]))
           << util::kernel_target_name(target) << ", poison=" << poison;
+    }
+  }
+}
+
+// GEMMs with fewer rows than the target's microtile run through the row
+// kernel where one exists. It must stay the microtile's exact fold: equal to
+// the matching reference for every m < mr, for column counts on and off the
+// 8-wide vector edge, and for k on both sides of the kKc block edge.
+bool same_float(float got, float want) {
+  if (std::isnan(want)) return std::isnan(got);  // payloads may differ
+  return std::memcmp(&got, &want, sizeof(float)) == 0;
+}
+
+TEST(KernelDispatch, GemmRowPathMatchesReferenceUnderEveryTarget) {
+  for (const auto target : available_kernel_targets()) {
+    ScopedKernelTarget guard(target);
+    const bool fused = kernels::gemm_microkernel(target).fused;
+    for (std::int64_t m = 1; m <= 7; ++m) {
+      for (const std::int64_t n : {1, 8, 18, 33}) {
+        for (const std::int64_t k : {1, 255, 256, 257, 4096}) {
+          const Tensor a = random_tensor(m, k, static_cast<std::uint64_t>(m * 7 + k));
+          const Tensor at = tensor::transpose2d(a);
+          const Tensor b = random_tensor(k, n, static_cast<std::uint64_t>(n * 13 + k));
+          for (const bool accumulate : {false, true}) {
+            for (const Trans ta : {Trans::kNo, Trans::kYes}) {
+              const float* pa = ta == Trans::kNo ? a.data() : at.data();
+              const std::int64_t lda = ta == Trans::kNo ? k : m;
+              Tensor got(Shape::mat(m, n));
+              Tensor want(Shape::mat(m, n));
+              for (std::int64_t i = 0; i < m * n; ++i) {
+                got[i] = want[i] = static_cast<float>(i % 5) - 2.0f;
+              }
+              sgemm(ta, Trans::kNo, m, n, k, pa, lda, b.data(), n, got.data(), n, accumulate);
+              (fused ? sgemm_reference_fused : sgemm_reference)(
+                  ta, Trans::kNo, m, n, k, pa, lda, b.data(), n, want.data(), n, accumulate);
+              for (std::int64_t i = 0; i < m * n; ++i) {
+                ASSERT_TRUE(same_float(got[i], want[i]))
+                    << util::kernel_target_name(target) << " (" << m << "," << n << ","
+                    << k << ") trans_a=" << (ta == Trans::kYes) << " acc=" << accumulate
+                    << " elem " << i << ": " << got[i] << " vs " << want[i];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, GemmRowPathPropagatesNanAndInf) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::int64_t m = 3, n = 18, k = 300;
+  for (const auto target : available_kernel_targets()) {
+    ScopedKernelTarget guard(target);
+    const bool fused = kernels::gemm_microkernel(target).fused;
+    for (const float poison : {nan, inf}) {
+      for (const bool accumulate : {false, true}) {
+        // Row 0 of A is all zeros against a poisoned B column (0 * Inf and
+        // 0 * NaN are NaN); row 1 carries the poison in A itself, in the
+        // second k-block; B's last column is poisoned in the masked tail.
+        Tensor a = random_tensor(m, k, 51);
+        Tensor b = random_tensor(k, n, 52);
+        for (std::int64_t kk = 0; kk < k; ++kk) a[kk] = 0.0f;
+        a[1 * k + 270] = poison;
+        b[5 * n + 3] = poison;
+        b[280 * n + (n - 1)] = poison;
+        Tensor got(Shape::mat(m, n));
+        Tensor want(Shape::mat(m, n));
+        sgemm(Trans::kNo, Trans::kNo, m, n, k, a.data(), k, b.data(), n, got.data(), n,
+              accumulate);
+        (fused ? sgemm_reference_fused : sgemm_reference)(
+            Trans::kNo, Trans::kNo, m, n, k, a.data(), k, b.data(), n, want.data(), n,
+            accumulate);
+        EXPECT_TRUE(std::isnan(got[3])) << util::kernel_target_name(target);
+        EXPECT_TRUE(std::isnan(got[n - 1])) << util::kernel_target_name(target);
+        for (std::int64_t i = 0; i < m * n; ++i) {
+          ASSERT_TRUE(same_float(got[i], want[i]))
+              << util::kernel_target_name(target) << " poison=" << poison
+              << " acc=" << accumulate << " elem " << i << ": " << got[i] << " vs " << want[i];
+        }
+      }
     }
   }
 }

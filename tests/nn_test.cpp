@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include "src/nn/init.h"
@@ -194,6 +195,27 @@ TEST(LisaCnn, PredictMatchesArgmaxOfLogits) {
       if (logits.at2(i, j) > logits.at2(i, best)) best = static_cast<int>(j);
     }
     EXPECT_EQ(preds[static_cast<std::size_t>(i)], best);
+  }
+}
+
+// The served forward (LisaCnn::logits: no graph, implicit-GEMM convs, the
+// scratch blur, the row-kernel dense head at batch 1) must be the graph
+// forward's exact float program on the defended paper-width model.
+TEST(LisaCnn, DefendedPaperWidthLogitsBitwiseEqualGraphForward) {
+  LisaCnnConfig config;  // paper width: 16/32/64 filters
+  config.fixed_filter = {FilterPlacement::kAfterLayer1, 5, signal::KernelKind::kBox};
+  const LisaCnn model(config);
+  util::Rng rng(31);
+  for (const std::int64_t batch : {1, 64}) {
+    const Tensor x = Tensor::rand_uniform(Shape::nchw(batch, 3, 32, 32), rng);
+    const Tensor served = model.logits(x);
+    const Variable graph = model.forward(Variable::constant(x)).logits;
+    ASSERT_TRUE(graph.requires_grad());  // really the graph path
+    ASSERT_EQ(served.shape(), graph.value().shape());
+    EXPECT_EQ(std::memcmp(served.data(), graph.value().data(),
+                          static_cast<std::size_t>(served.numel()) * sizeof(float)),
+              0)
+        << "batch " << batch;
   }
 }
 
