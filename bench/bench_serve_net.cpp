@@ -2,7 +2,7 @@
 // sweep as bench_serve_load, but every request travels over loopback TCP as a
 // kClassify frame through net::Server instead of calling submit() in-process.
 // Comparing the two benches isolates the wire cost (framing, syscalls, the
-// event loop and harvester hand-offs) from the engine's own queueing.
+// event loop and completion hand-offs) from the engine's own queueing.
 //
 // Results go to results/bench_serve_net.json (BLURNET_OUT_DIR to move the
 // directory). The engine serves freshly initialized weights — arrival

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/tensor/shape.h"
@@ -18,12 +19,8 @@ namespace blurnet::net {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// How long a harvester sleeps on one future before re-checking the abandoned
-/// flag, and the loop's idle poll period. Small enough that stop() never
-/// stalls noticeably past the drain deadline.
-constexpr auto kHarvestTick = std::chrono::milliseconds(50);
+/// The loop's idle poll period: how often it re-checks the drain deadline and
+/// parked requests' block timeouts when nothing wakes it sooner.
 constexpr int kPollTimeoutMs = 50;
 constexpr std::size_t kReadChunk = 64 * 1024;
 
@@ -35,6 +32,16 @@ tensor::Tensor slice_image(const tensor::Tensor& batch, int index) {
   std::memcpy(image.data(), batch.data() + static_cast<std::size_t>(index) * stride,
               stride * sizeof(float));
   return image;
+}
+
+std::string describe(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown failure";
+  }
 }
 
 }  // namespace
@@ -66,64 +73,55 @@ void ServerConfig::validate() const {
   }
 }
 
-Server::Server(serve::InferenceEngine& engine, ServerConfig config)
-    : engine_(engine), config_(std::move(config)) {
-  config_.validate();
-  if (engine_.overload_policy() == serve::OverloadPolicy::kBlock &&
-      engine_.block_timeout_ms() == 0) {
-    throw std::invalid_argument(
-        "Server: the engine uses OverloadPolicy::kBlock with block_timeout_ms == 0; an "
-        "unbounded blocking submit() could wedge a connection submitter (and stop()) "
-        "forever — serve with kReject or a finite block timeout");
-  }
-  listener_ = tcp_listen(config_.host, config_.port, config_.backlog);
-  set_nonblocking(listener_.fd());
-  port_ = local_port(listener_.fd());
+Server::Shared::Shared() {
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) {
     throw SocketError(std::string("Server: pipe(): ") + std::strerror(errno));
   }
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-  set_nonblocking(wake_read_fd_);
-  set_nonblocking(wake_write_fd_);
+  wake_read_fd = pipe_fds[0];
+  wake_write_fd = pipe_fds[1];
+  set_nonblocking(wake_read_fd);
+  set_nonblocking(wake_write_fd);
+}
+
+Server::Shared::~Shared() {
+  ::close(wake_read_fd);
+  ::close(wake_write_fd);
+}
+
+void Server::Shared::wake() {
+  // A pending wake-up already covers this output: the loop clears the flag
+  // before it services connections, so it will see it.
+  if (wake_pending.exchange(true)) return;
+  const std::uint8_t one = 1;
+  // EAGAIN means the pipe already holds a pending wake-up; that is enough.
+  [[maybe_unused]] const ssize_t rc = ::write(wake_write_fd, &one, 1);
+}
+
+Server::Server(serve::InferenceEngine& engine, ServerConfig config)
+    : engine_(engine), config_(std::move(config)) {
+  config_.validate();
+  listener_ = tcp_listen(config_.host, config_.port, config_.backlog);
+  set_nonblocking(listener_.fd());
+  port_ = local_port(listener_.fd());
+  shared_ = std::make_shared<Shared>();
   loop_ = std::thread([this] { event_loop(); });
 }
 
 Server::~Server() { stop(); }
-
-void Server::wake() {
-  const std::uint8_t one = 1;
-  // EAGAIN means the pipe already holds a pending wake-up; that is enough.
-  [[maybe_unused]] const ssize_t rc = ::write(wake_write_fd_, &one, 1);
-}
 
 void Server::stop() {
   std::lock_guard<util::DebugMutex> lifecycle(lifecycle_mutex_);
   if (stopped_) return;
   stopped_ = true;
   draining_.store(true, std::memory_order_release);
-  wake();
+  shared_->wake();
   if (loop_.joinable()) loop_.join();
-  // The loop exits only after retiring every connection into zombies_.
-  std::vector<std::shared_ptr<Connection>> zombies;
-  {
-    std::lock_guard<util::DebugMutex> lock(zombies_mutex_);
-    zombies.swap(zombies_);
-  }
-  for (auto& conn : zombies) {
-    if (conn->submitter.joinable()) conn->submitter.join();
-    if (conn->harvester.joinable()) conn->harvester.join();
-  }
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
-  wake_read_fd_ = wake_write_fd_ = -1;
 }
 
 void Server::event_loop() {
   bool drain_started = false;
   Clock::time_point drain_deadline{};
-  std::vector<std::uint8_t> read_buffer(kReadChunk);
 
   for (;;) {
     if (draining_.load(std::memory_order_acquire) && !drain_started) {
@@ -133,7 +131,7 @@ void Server::event_loop() {
     }
 
     std::vector<pollfd> fds;
-    fds.push_back({wake_read_fd_, POLLIN, 0});
+    fds.push_back({shared_->wake_read_fd, POLLIN, 0});
     if (listener_.is_open()) fds.push_back({listener_.fd(), POLLIN, 0});
     const std::size_t first_conn = fds.size();
     for (auto& conn : connections_) {
@@ -141,15 +139,17 @@ void Server::event_loop() {
       {
         std::lock_guard<util::DebugMutex> lock(conn->mutex);
         // Backpressure: stop reading from a peer whose replies it is not
-        // consuming (unflushed outbox past the bound) or that already has a
-        // full pipeline of unanswered classify requests. Reads resume once
-        // the backlog drains — harvesters wake the loop as replies complete.
-        const bool outbox_full =
-            conn->outbox.size() - conn->outbox_offset > config_.max_outbox_bytes;
-        const bool pipeline_full = conn->replies_in_flight.load(std::memory_order_acquire) >=
-                                   config_.max_inflight_requests;
-        if (!conn->input_closed && !outbox_full && !pipeline_full) events |= POLLIN;
-        if (conn->outbox_offset < conn->outbox.size()) events |= POLLOUT;
+        // consuming (unflushed outbox past the bound), that already has a
+        // full pipeline of unanswered classify requests, or whose next
+        // request is parked for shard space. Reads resume once the backlog
+        // drains — completions wake the loop as replies land.
+        const bool outbox_full = conn->outbox.size() + conn->sending.size() - conn->sent >
+                                 config_.max_outbox_bytes;
+        const bool pipeline_full = conn->replies_in_flight >= config_.max_inflight_requests;
+        if (!conn->input_closed && conn->parked.empty() && !outbox_full && !pipeline_full) {
+          events |= POLLIN;
+        }
+        if (conn->sent < conn->sending.size()) events |= POLLOUT;
       }
       fds.push_back({conn->socket.fd(), events, 0});
     }
@@ -164,18 +164,23 @@ void Server::event_loop() {
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0 && errno != EINTR) break;  // poll failure: bail out and tear down
 
-    // Drain the wake pipe.
+    // Drain the wake pipe, then re-arm wake-ups (in this order: output queued
+    // after the re-arm writes a fresh byte, output before it is seen below).
     if (fds[0].revents & POLLIN) {
       std::uint8_t sink[64];
-      while (::read(wake_read_fd_, sink, sizeof(sink)) > 0) {
+      while (::read(shared_->wake_read_fd, sink, sizeof(sink)) > 0) {
       }
     }
+    shared_->woke();
     if (listener_.is_open() && fds.size() > 1 && (fds[1].revents & POLLIN)) accept_ready();
 
     // Service connections; collect the ones to tear down.
     std::vector<std::size_t> dead;
     for (std::size_t i = 0; i < connections_.size(); ++i) {
-      Connection& conn = *connections_[i];
+      const std::shared_ptr<Connection>& conn = connections_[i];
+      // Every wake may have freed shard space: retry parked requests first,
+      // in order, before reading anything behind them.
+      while (!conn->parked.empty() && admit(conn, conn->parked.front())) conn->parked.pop_front();
       const short revents = first_conn + i < fds.size() ? fds[first_conn + i].revents : 0;
       bool alive = true;
       if (revents & (POLLERR | POLLNVAL)) alive = false;
@@ -190,7 +195,7 @@ void Server::event_loop() {
       }
       if (alive) {
         try {
-          alive = flush_outbox(conn);
+          alive = flush_outbox(*conn);
         } catch (const SocketError&) {
           alive = false;
         }
@@ -198,39 +203,21 @@ void Server::event_loop() {
       if (alive) {
         // Fully served and peer finished sending: close once nothing is
         // pending and everything queued has hit the wire.
-        std::lock_guard<util::DebugMutex> lock(conn.mutex);
-        const bool flushed = conn.outbox_offset >= conn.outbox.size();
-        if (flushed && conn.close_after_flush) alive = false;
-        if (flushed && conn.input_closed && conn.inbox.empty() &&
-            conn.replies_in_flight.load(std::memory_order_acquire) == 0) {
-          alive = false;
-        }
+        std::lock_guard<util::DebugMutex> lock(conn->mutex);
+        const bool flushed = conn->sent == conn->sending.size() && conn->outbox.empty();
+        if (flushed && conn->close_after_flush) alive = false;
+        if (flushed && conn->input_closed && conn->replies_in_flight == 0) alive = false;
       }
       if (!alive) dead.push_back(i);
     }
     for (auto it = dead.rbegin(); it != dead.rend(); ++it) retire(*it);
 
-    // Reap retired connections whose harvester has finished.
-    {
-      std::lock_guard<util::DebugMutex> lock(zombies_mutex_);
-      for (auto it = zombies_.begin(); it != zombies_.end();) {
-        if ((*it)->harvester_done.load(std::memory_order_acquire) &&
-            (*it)->submitter_done.load(std::memory_order_acquire)) {
-          if ((*it)->submitter.joinable()) (*it)->submitter.join();
-          if ((*it)->harvester.joinable()) (*it)->harvester.join();
-          it = zombies_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-
     if (drain_started) {
       bool idle = true;
       for (auto& conn : connections_) {
         std::lock_guard<util::DebugMutex> lock(conn->mutex);
-        if (conn->replies_in_flight.load(std::memory_order_acquire) != 0 ||
-            !conn->inbox.empty() || conn->outbox_offset < conn->outbox.size()) {
+        if (conn->replies_in_flight != 0 || conn->sent < conn->sending.size() ||
+            !conn->outbox.empty()) {
           idle = false;
           break;
         }
@@ -241,7 +228,6 @@ void Server::event_loop() {
 
   // Teardown: abandon whatever is left (drain deadline passed, or poll died).
   while (!connections_.empty()) retire(connections_.size() - 1);
-  loop_exited_.store(true, std::memory_order_release);
 }
 
 void Server::accept_ready() {
@@ -255,22 +241,19 @@ void Server::accept_ready() {
     set_nonblocking(fd);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>(
+    connections_.push_back(std::make_shared<Connection>(
         std::move(socket), next_connection_id_.fetch_add(1, std::memory_order_relaxed),
-        config_.max_frame_bytes);
-    conn->submitter = std::thread([this, conn] { submitter_loop(conn); });
-    conn->harvester = std::thread([this, conn] { harvester_loop(conn); });
-    connections_.push_back(conn);
+        config_.max_frame_bytes, shared_));
     accepted_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<util::DebugMutex> lock(roster_mutex_);
     roster_ = connections_;
   }
 }
 
-bool Server::read_ready(Connection& conn) {
+bool Server::read_ready(const std::shared_ptr<Connection>& conn) {
   std::uint8_t chunk[kReadChunk];
   for (;;) {
-    const ssize_t got = ::recv(conn.socket.fd(), chunk, sizeof(chunk), 0);
+    const ssize_t got = ::recv(conn->socket.fd(), chunk, sizeof(chunk), 0);
     if (got < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -279,30 +262,26 @@ bool Server::read_ready(Connection& conn) {
     if (got == 0) {
       // Peer finished sending (half-close). Pending replies still flush; the
       // connection closes once they have.
-      std::lock_guard<util::DebugMutex> lock(conn.mutex);
-      conn.input_closed = true;
-      conn.cv.notify_all();
+      conn->input_closed = true;
       break;
     }
     bytes_in_.fetch_add(got, std::memory_order_relaxed);
-    conn.bytes_in.fetch_add(got, std::memory_order_relaxed);
-    conn.decoder.feed(chunk, static_cast<std::size_t>(got));
+    conn->bytes_in.fetch_add(got, std::memory_order_relaxed);
+    conn->decoder.feed(chunk, static_cast<std::size_t>(got));
     Frame frame;
     try {
-      while (conn.decoder.next(frame)) {
+      while (conn->decoder.next(frame)) {
         frames_in_.fetch_add(1, std::memory_order_relaxed);
-        conn.frames_in.fetch_add(1, std::memory_order_relaxed);
+        conn->frames_in.fetch_add(1, std::memory_order_relaxed);
         handle_frame(conn, frame);
       }
     } catch (const WireError& e) {
       // Framing violation: byte alignment is lost, so report and close. The
       // error frame carries id 0 — it cannot be tied to a request.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      queue_error(conn, 0, ErrorCode::kInvalidRequest, e.what());
-      std::lock_guard<util::DebugMutex> lock(conn.mutex);
-      conn.input_closed = true;
-      conn.close_after_flush = true;
-      conn.cv.notify_all();
+      queue_error(*conn, 0, {ErrorCode::kInvalidRequest, e.what()});
+      conn->input_closed = true;
+      conn->close_after_flush = true;
       break;
     }
   }
@@ -310,54 +289,89 @@ bool Server::read_ready(Connection& conn) {
 }
 
 bool Server::flush_outbox(Connection& conn) {
-  std::lock_guard<util::DebugMutex> lock(conn.mutex);
-  while (conn.outbox_offset < conn.outbox.size()) {
-    const ssize_t wrote =
-        ::send(conn.socket.fd(), conn.outbox.data() + conn.outbox_offset,
-               conn.outbox.size() - conn.outbox_offset, MSG_NOSIGNAL);
+  for (;;) {
+    if (conn.sent == conn.sending.size()) {
+      conn.sending.clear();
+      conn.sent = 0;
+      std::lock_guard<util::DebugMutex> lock(conn.mutex);
+      if (conn.outbox.empty()) return true;
+      conn.sending.swap(conn.outbox);
+    }
+    const ssize_t wrote = ::send(conn.socket.fd(), conn.sending.data() + conn.sent,
+                                 conn.sending.size() - conn.sent, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;  // retry on POLLOUT
       return false;  // peer gone
     }
-    conn.outbox_offset += static_cast<std::size_t>(wrote);
+    conn.sent += static_cast<std::size_t>(wrote);
     bytes_out_.fetch_add(wrote, std::memory_order_relaxed);
     conn.bytes_out.fetch_add(wrote, std::memory_order_relaxed);
   }
-  conn.outbox.clear();
-  conn.outbox_offset = 0;
-  return true;
 }
 
-void Server::queue_frame(Connection& conn, Opcode opcode, std::uint32_t request_id,
+bool Server::queue_frame(Connection& conn, Opcode opcode, std::uint32_t request_id,
                          const std::vector<std::uint8_t>& payload) {
   {
     std::lock_guard<util::DebugMutex> lock(conn.mutex);
+    if (conn.abandoned) return false;
     append_frame(conn.outbox, opcode, request_id, payload);
   }
-  frames_out_.fetch_add(1, std::memory_order_relaxed);
+  conn.shared->frames_out.fetch_add(1, std::memory_order_relaxed);
   conn.responses.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
-void Server::queue_error(Connection& conn, std::uint32_t request_id, ErrorCode code,
-                         const std::string& message) {
-  queue_frame(conn, Opcode::kErrorResponse, request_id, encode_error({code, message}));
-  errors_sent_.fetch_add(1, std::memory_order_relaxed);
-  if (code == ErrorCode::kOverload) overloads_.fetch_add(1, std::memory_order_relaxed);
-  if (code == ErrorCode::kShuttingDown) {
-    shutdown_rejected_.fetch_add(1, std::memory_order_relaxed);
+void Server::queue_error(Connection& conn, std::uint32_t request_id, const ErrorFrame& error) {
+  if (!queue_frame(conn, Opcode::kErrorResponse, request_id, encode_error(error))) return;
+  Shared& shared = *conn.shared;
+  shared.errors_sent.fetch_add(1, std::memory_order_relaxed);
+  if (error.code == ErrorCode::kOverload) shared.overloads.fetch_add(1, std::memory_order_relaxed);
+  if (error.code == ErrorCode::kShuttingDown) {
+    shared.shutdown_rejected.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void Server::handle_frame(Connection& conn, const Frame& frame) {
+void Server::fail(Reply& reply, ErrorFrame error) {
+  if (!reply.failed.exchange(true)) reply.error = std::move(error);
+}
+
+bool Server::drop_hold(Connection& conn, Reply& reply) {
+  if (reply.holds.fetch_sub(1, std::memory_order_acq_rel) != 1) return false;
+  if (reply.failed.load(std::memory_order_relaxed)) {
+    queue_error(conn, reply.request_id, reply.error);
+  } else {
+    queue_frame(conn, reply.batch ? Opcode::kClassifyBatchResponse : Opcode::kClassifyResponse,
+                reply.request_id, encode_predictions(reply.predictions, reply.batch));
+  }
+  // Only now does the request stop counting as in flight: the loop never
+  // closes a connection that still owes a reply.
+  std::lock_guard<util::DebugMutex> lock(conn.mutex);
+  --conn.replies_in_flight;
+  return true;
+}
+
+void Server::complete(Connection& conn, Reply& reply, int index, serve::Prediction prediction,
+                      std::exception_ptr error) {
+  if (error) {
+    // A failed forward (throwing transform, replica error) fails the whole
+    // request; a batch reports its first failure.
+    fail(reply, {ErrorCode::kInternal, describe(error)});
+  } else {
+    reply.predictions[static_cast<std::size_t>(index)] = std::move(prediction);
+  }
+  if (drop_hold(conn, reply)) conn.shared->wake();
+}
+
+void Server::handle_frame(const std::shared_ptr<Connection>& conn, const Frame& frame) {
   switch (frame.opcode) {
     case Opcode::kPing:
       ping_.fetch_add(1, std::memory_order_relaxed);
-      queue_frame(conn, Opcode::kPongResponse, frame.request_id, {});
+      queue_frame(*conn, Opcode::kPongResponse, frame.request_id, {});
       return;
     case Opcode::kStats:
       stats_.fetch_add(1, std::memory_order_relaxed);
-      queue_frame(conn, Opcode::kStatsResponse, frame.request_id, encode_stats(stats()));
+      queue_frame(*conn, Opcode::kStatsResponse, frame.request_id, encode_stats(stats()));
       return;
     case Opcode::kClassify:
       classify_.fetch_add(1, std::memory_order_relaxed);
@@ -370,174 +384,108 @@ void Server::handle_frame(Connection& conn, const Frame& frame) {
     default:
       // A response opcode sent *to* the server. The frame was well-formed, so
       // the stream stays aligned and the connection stays usable.
-      queue_error(conn, frame.request_id, ErrorCode::kInvalidRequest,
-                  std::string("server received response opcode ") + to_string(frame.opcode) +
-                      " (clients send kClassify/kClassifyBatch/kStats/kPing)");
+      queue_error(*conn, frame.request_id,
+                  {ErrorCode::kInvalidRequest,
+                   std::string("server received response opcode ") + to_string(frame.opcode) +
+                       " (clients send kClassify/kClassifyBatch/kStats/kPing)"});
       return;
   }
 }
 
-void Server::handle_classify(Connection& conn, const Frame& frame, bool batch) {
-  PendingRequest pending;
-  pending.request_id = frame.request_id;
-  pending.batch = batch;
+void Server::handle_classify(const std::shared_ptr<Connection>& conn, const Frame& frame,
+                             bool batch) {
+  Pending pending;
   try {
     pending.request =
         decode_classify_request(frame.payload.data(), frame.payload.size(), batch);
   } catch (const WireError& e) {
     // Payload decode failure: framing was fine, so only this request fails.
-    queue_error(conn, frame.request_id, ErrorCode::kInvalidRequest, e.what());
+    queue_error(*conn, frame.request_id, {ErrorCode::kInvalidRequest, e.what()});
     return;
   } catch (const std::exception& e) {
     // Defense in depth: a failure past the codec's own validation (e.g. the
     // image allocation) fails the request, never the process.
-    queue_error(conn, frame.request_id, ErrorCode::kInvalidRequest, e.what());
+    queue_error(*conn, frame.request_id, {ErrorCode::kInvalidRequest, e.what()});
     return;
   }
   if (draining_.load(std::memory_order_acquire)) {
-    queue_error(conn, frame.request_id, ErrorCode::kShuttingDown,
-                "blurnetd is draining; no new classify requests accepted");
+    queue_error(*conn, frame.request_id,
+                {ErrorCode::kShuttingDown, "blurnetd is draining; no new classify requests accepted"});
     return;
   }
 
-  // Admission happens on the connection's submitter thread, never here: a
-  // submit() that waits for queue space (kBlock) must not stall the loop.
+  pending.reply = std::make_shared<Reply>(
+      frame.request_id, batch, batch ? static_cast<std::size_t>(pending.request.images.dim(0)) : 1);
   {
-    std::lock_guard<util::DebugMutex> lock(conn.mutex);
-    conn.replies_in_flight.fetch_add(1, std::memory_order_release);
-    conn.inbox.push_back(std::move(pending));
+    std::lock_guard<util::DebugMutex> lock(conn->mutex);
+    ++conn->replies_in_flight;
   }
-  conn.cv.notify_one();
+  // Requests are admitted in arrival order: one behind a parked request
+  // waits its turn.
+  if (!conn->parked.empty() || !admit(conn, pending)) conn->parked.push_back(std::move(pending));
 }
 
-void Server::submitter_loop(const std::shared_ptr<Connection>& conn) {
-  for (;;) {
-    PendingRequest pending;
-    {
-      std::unique_lock<util::DebugMutex> lock(conn->mutex);
-      conn->cv.wait(lock, [&] {
-        return conn->abandoned.load(std::memory_order_acquire) || !conn->inbox.empty() ||
-               conn->input_closed;
-      });
-      if (conn->abandoned.load(std::memory_order_acquire)) break;
-      if (conn->inbox.empty()) {
-        if (conn->input_closed) break;  // drained: nothing more will arrive
-        continue;
-      }
-      pending = std::move(conn->inbox.front());
-      conn->inbox.pop_front();
+bool Server::admit(const std::shared_ptr<Connection>& conn, Pending& pending) {
+  const std::shared_ptr<Reply>& reply = pending.reply;
+  const int count = static_cast<int>(reply->predictions.size());
+  serve::Options options;
+  options.variant = pending.request.variant;
+  options.max_batch = pending.request.max_batch;
+  std::optional<ErrorFrame> failure;
+  while (pending.next < count) {
+    const int index = pending.next;
+    // The image's hold, taken before its completion can possibly run.
+    reply->holds.fetch_add(1, std::memory_order_relaxed);
+    bool admitted = false;
+    try {
+      admitted = engine_.try_submit(
+          reply->batch ? slice_image(pending.request.images, index) : pending.request.images,
+          options,
+          [conn, reply, index](serve::Prediction prediction, std::exception_ptr error) {
+            complete(*conn, *reply, index, std::move(prediction), error);
+          },
+          pending.parked);
+    } catch (const std::invalid_argument& e) {
+      // Unknown variant / bad shape: the engine's message lists the
+      // registered variants, which travels back to the client verbatim.
+      failure = ErrorFrame{ErrorCode::kInvalidRequest, e.what()};
+    } catch (const std::exception& e) {
+      // Anything else the engine throws (e.g. "engine is shutting down")
+      // becomes a typed frame, never an escaped exception.
+      failure = ErrorFrame{ErrorCode::kInternal, e.what()};
     }
-
-    const int count = pending.batch ? static_cast<int>(pending.request.images.dim(0)) : 1;
-    PendingReply reply;
-    reply.request_id = pending.request_id;
-    reply.batch = pending.batch;
-    reply.futures.reserve(static_cast<std::size_t>(count));
-    serve::Options options;
-    options.variant = pending.request.variant;
-    options.max_batch = pending.request.max_batch;
-
-    bool failed = false;
-    if (draining_.load(std::memory_order_acquire)) {
-      // Decoded before the drain began, not yet admitted: refuse it typed.
-      queue_error(*conn, pending.request_id, ErrorCode::kShuttingDown,
-                  "blurnetd is draining; no new classify requests accepted");
-      failed = true;
-    } else {
-      try {
-        for (int i = 0; i < count; ++i) {
-          if (conn->abandoned.load(std::memory_order_acquire)) break;
-          reply.futures.push_back(engine_.submit(
-              pending.batch ? slice_image(pending.request.images, i) : pending.request.images,
-              options));
-        }
-      } catch (const serve::OverloadError& e) {
-        // Mid-batch shed: the whole request fails as one unit. Futures already
-        // obtained are dropped — the engine resolves them into the void.
-        queue_error(*conn, pending.request_id, ErrorCode::kOverload, e.what());
-        failed = true;
-      } catch (const std::invalid_argument& e) {
-        // Unknown variant / bad shape: the engine's message lists the
-        // registered variants, which travels back to the client verbatim.
-        queue_error(*conn, pending.request_id, ErrorCode::kInvalidRequest, e.what());
-        failed = true;
-      } catch (const std::exception& e) {
-        // Anything else the engine throws (e.g. "engine is shutting down"
-        // when it stops while the server is live) becomes a typed frame,
-        // never an escaped exception that would terminate the process.
-        queue_error(*conn, pending.request_id, ErrorCode::kInternal, e.what());
-        failed = true;
-      }
-    }
-    if (failed) {
-      conn->replies_in_flight.fetch_sub(1, std::memory_order_release);
-      wake();
+    if (admitted) {
+      ++pending.next;
+      conn->requests.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    conn->requests.fetch_add(count, std::memory_order_relaxed);
-    {
-      std::lock_guard<util::DebugMutex> lock(conn->mutex);
-      conn->submitted.push_back(std::move(reply));
+    drop_hold(*conn, *reply);  // the image's hold: its completion will never run
+    if (failure) break;
+    // The shard is full. A batch already partly admitted fails as one unit;
+    // the admitted images' completions still count down into its reply.
+    if (engine_.overload_policy() == serve::OverloadPolicy::kReject) {
+      failure = ErrorFrame{ErrorCode::kOverload, "variant \"" + options.variant +
+                                                     "\" queue is full (policy reject)"};
+      break;
     }
-    conn->harvest_cv.notify_one();
+    const Clock::time_point now = Clock::now();
+    if (!pending.parked) {
+      pending.parked = true;
+      pending.parked_at = now;
+      return false;
+    }
+    const int timeout_ms = engine_.block_timeout_ms();
+    if (timeout_ms == 0 || now - pending.parked_at < std::chrono::milliseconds(timeout_ms)) {
+      return false;
+    }
+    failure = ErrorFrame{ErrorCode::kOverload,
+                         "variant \"" + options.variant + "\" queue is full (policy block, " +
+                             "timed out after " + std::to_string(timeout_ms) + " ms)"};
+    break;
   }
-  conn->submitter_done.store(true, std::memory_order_release);
-  conn->harvest_cv.notify_all();  // harvester may be waiting for more work
-  wake();
-}
-
-void Server::harvester_loop(const std::shared_ptr<Connection>& conn) {
-  for (;;) {
-    PendingReply reply;
-    {
-      std::unique_lock<util::DebugMutex> lock(conn->mutex);
-      conn->harvest_cv.wait(lock, [&] {
-        return conn->abandoned.load(std::memory_order_acquire) || !conn->submitted.empty() ||
-               conn->submitter_done.load(std::memory_order_acquire);
-      });
-      if (conn->abandoned.load(std::memory_order_acquire)) break;
-      if (conn->submitted.empty()) {
-        if (conn->submitter_done.load(std::memory_order_acquire)) break;  // drained
-        continue;
-      }
-      reply = std::move(conn->submitted.front());
-      conn->submitted.pop_front();
-    }
-
-    std::vector<serve::Prediction> predictions;
-    predictions.reserve(reply.futures.size());
-    bool abandoned = false;
-    bool failed = false;
-    for (auto& future : reply.futures) {
-      // wait_for + flag check instead of a blocking get(): stop() must be able
-      // to time out past a future that never resolves.
-      while (future.wait_for(kHarvestTick) != std::future_status::ready) {
-        if (conn->abandoned.load(std::memory_order_acquire)) {
-          abandoned = true;
-          break;
-        }
-      }
-      if (abandoned) break;
-      try {
-        predictions.push_back(future.get());
-      } catch (const std::exception& e) {
-        // Broken promise (engine torn down) or another unexpected failure.
-        queue_error(*conn, reply.request_id, ErrorCode::kInternal, e.what());
-        failed = true;
-        break;
-      }
-    }
-    if (abandoned) break;
-    if (!failed) {
-      queue_frame(*conn,
-                  reply.batch ? Opcode::kClassifyBatchResponse : Opcode::kClassifyResponse,
-                  reply.request_id, encode_predictions(predictions, reply.batch));
-    }
-    conn->replies_in_flight.fetch_sub(1, std::memory_order_release);
-    wake();
-  }
-  conn->harvester_done.store(true, std::memory_order_release);
-  wake();
+  if (failure) fail(*reply, std::move(*failure));
+  drop_hold(*conn, *reply);  // the loop's hold: admission is over
+  return true;
 }
 
 void Server::retire(std::size_t index) {
@@ -549,30 +497,26 @@ void Server::retire(std::size_t index) {
   }
   {
     std::lock_guard<util::DebugMutex> lock(conn->mutex);
-    conn->abandoned.store(true, std::memory_order_release);
-    conn->socket.close();
+    conn->abandoned = true;
   }
-  conn->cv.notify_all();
-  conn->harvest_cv.notify_all();
-  std::lock_guard<util::DebugMutex> lock(zombies_mutex_);
-  zombies_.push_back(std::move(conn));
+  conn->socket.close();
 }
 
 ServerStats Server::stats() const {
   ServerStats out;
   out.accepted = accepted_.load(std::memory_order_relaxed);
   out.frames_in = frames_in_.load(std::memory_order_relaxed);
-  out.frames_out = frames_out_.load(std::memory_order_relaxed);
+  out.frames_out = shared_->frames_out.load(std::memory_order_relaxed);
   out.bytes_in = bytes_in_.load(std::memory_order_relaxed);
   out.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   out.classify = classify_.load(std::memory_order_relaxed);
   out.classify_batch = classify_batch_.load(std::memory_order_relaxed);
   out.stats = stats_.load(std::memory_order_relaxed);
   out.ping = ping_.load(std::memory_order_relaxed);
-  out.errors_sent = errors_sent_.load(std::memory_order_relaxed);
+  out.errors_sent = shared_->errors_sent.load(std::memory_order_relaxed);
   out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  out.overloads = overloads_.load(std::memory_order_relaxed);
-  out.shutdown_rejected = shutdown_rejected_.load(std::memory_order_relaxed);
+  out.overloads = shared_->overloads.load(std::memory_order_relaxed);
+  out.shutdown_rejected = shared_->shutdown_rejected.load(std::memory_order_relaxed);
 
   {
     std::lock_guard<util::DebugMutex> lock(roster_mutex_);

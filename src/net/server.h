@@ -1,29 +1,30 @@
 // blurnetd: the socket serving front-end for serve::InferenceEngine.
 //
 // A Server binds one TCP listen socket and runs a small poll()-based event
-// loop on its own thread: the loop accepts connections, reassembles frames
-// from nonblocking reads (FrameDecoder), decodes requests, and writes queued
-// response bytes back with short-write handling. Classify work never executes
-// on the loop — and neither does admission: decoded requests queue to a
-// per-connection submitter thread that calls the engine's existing submit()
-// path, so remote traffic inherits batching, replica sharding, bounded-queue
-// admission control and latency measurement unchanged, and a submit() that
-// waits for queue space (OverloadPolicy::kBlock) backpressures only its own
-// connection, never the loop:
+// loop on its own thread — the server's only thread, however many
+// connections it holds. The loop accepts connections, reassembles frames
+// from nonblocking reads (FrameDecoder), decodes requests, admits them with
+// the engine's non-blocking try_submit(), and writes queued response bytes
+// back with short-write handling. Remote traffic inherits batching, replica
+// sharding, bounded-queue admission control and latency measurement
+// unchanged; classify work never executes on the loop:
 //
-//   wire → decode → [submitter] submit() → coalesced replica forward → encode → wire
+//   wire → decode → try_submit() → coalesced replica forward → completion → encode → wire
 //
-// Because a blocked submitter must still be joinable by stop(), the
-// constructor rejects engines configured with kBlock and no block timeout —
-// socket serving requires kReject or a finite block_timeout_ms.
+// Each request's engine completion runs on the replica worker that served
+// it: it encodes the prediction (or typed error) frame into the connection's
+// outbox and wakes the loop to flush it. A kClassifyBatch request gathers its
+// images' completions with a countdown and replies once, in input order.
+// Replies therefore come back in completion order — a fast variant's reply
+// may overtake a slow one's on the same connection — and clients correlate
+// by request id (the client library pipelines on exactly this).
 //
-// Each connection also owns one harvester thread that waits on its submitted
-// futures in FIFO order, encodes the prediction (or typed error) frame, and
-// appends it to the connection's outbox for the event loop to flush. Replies
-// to classify requests therefore come back in per-connection submission
-// order, while ping/stats replies are written immediately by the loop and may
-// overtake them — clients correlate by request id (the client library
-// pipelines on exactly this).
+// When the engine refuses a request because its shard is full, kReject
+// answers with a kOverload frame at once. kBlock parks the request (and any
+// classify requests behind it) on its connection and stops reading from
+// that connection; the loop retries on each wake and gives up with a
+// kOverload frame once the engine's block_timeout_ms has passed, if it is
+// nonzero. A parked connection stalls only itself, never the loop.
 //
 // Backpressure is bidirectional: the loop stops reading from a connection
 // whose unflushed outbox exceeds ServerConfig::max_outbox_bytes (a client
@@ -32,25 +33,26 @@
 // unanswered; reads resume as the backlog drains.
 //
 // Failure is always a *frame*, never a dropped connection (except framing
-// violations, where byte alignment is lost): an engine OverloadError becomes
-// an ErrorCode::kOverload frame, validation failures (unknown variant, bad
+// violations, where byte alignment is lost): an engine refusal becomes an
+// ErrorCode::kOverload frame, validation failures (unknown variant, bad
 // shape — the engine's descriptive messages, which list the registered
-// variants) become kInvalidRequest, and requests arriving while the server
-// drains become kShuttingDown.
+// variants) become kInvalidRequest, a failed forward becomes kInternal, and
+// requests arriving while the server drains become kShuttingDown.
 //
 // stop() is graceful: the listener closes immediately, requests already
-// admitted keep draining (bounded by ServerConfig::drain_timeout_ms), new
-// classify requests are refused with kShuttingDown frames, and once every
-// connection is idle — or the deadline passes — connections are closed and
-// all threads join. The destructor calls stop().
+// admitted or parked keep draining (bounded by
+// ServerConfig::drain_timeout_ms), new classify requests are refused with
+// kShuttingDown frames, and once every connection is idle — or the deadline
+// passes — connections are closed and the loop joins. Completions of
+// requests abandoned at the deadline may still fire later; they only touch
+// state they share ownership of. The destructor calls stop().
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -114,7 +116,7 @@ class Server {
   /// Graceful shutdown: stop accepting, refuse new classify requests with
   /// kShuttingDown frames, drain in-flight requests (bounded by
   /// drain_timeout_ms), flush outboxes, then close every connection and join
-  /// all threads. Idempotent and safe to call from any thread; blocks until
+  /// the loop. Idempotent and safe to call from any thread; blocks until
   /// shutdown is complete.
   void stop();
 
@@ -124,49 +126,85 @@ class Server {
   ServerStats stats() const;
 
  private:
-  /// One decoded classify (or classify-batch) request awaiting submission by
-  /// the connection's submitter thread.
-  struct PendingRequest {
-    std::uint32_t request_id = 0;
-    bool batch = false;
-    ClassifyRequest request;
+  using Clock = std::chrono::steady_clock;
+
+  /// What a completion touches besides its connection: the loop's wake pipe
+  /// and the reply counters. Every connection (and so every in-flight
+  /// completion) shares ownership, so a completion that fires after the
+  /// Server is gone still finds an open pipe and live counters.
+  struct Shared {
+    Shared();   // opens the nonblocking self-pipe
+    ~Shared();  // closes it
+    Shared(const Shared&) = delete;
+    Shared& operator=(const Shared&) = delete;
+
+    /// Signal the event loop (completions call this after queueing output).
+    /// Writes the pipe only when no wake-up is pending since the loop last
+    /// woke, so a burst of completions costs one syscall.
+    void wake();
+    /// Called by the loop when it wakes, before it services connections.
+    void woke() { wake_pending.store(false); }
+
+    int wake_read_fd = -1;
+    int wake_write_fd = -1;
+    std::atomic<bool> wake_pending{false};
+    std::atomic<std::int64_t> frames_out{0};
+    std::atomic<std::int64_t> errors_sent{0};
+    std::atomic<std::int64_t> overloads{0};
+    std::atomic<std::int64_t> shutdown_rejected{0};
   };
 
-  /// One submitted request handed to the harvester: the engine futures for
-  /// each image, in image order.
-  struct PendingReply {
-    std::uint32_t request_id = 0;
-    bool batch = false;
-    std::vector<std::future<serve::Prediction>> futures;
+  /// The reply to one classify (or classify-batch) request, gathered by a
+  /// countdown: the loop holds one count while it admits the request's
+  /// images and each admitted image holds one until its completion runs.
+  /// Whoever drops the last count writes the frame; the countdown's
+  /// acquire-release ordering publishes every slot and the error to it.
+  struct Reply {
+    Reply(std::uint32_t id, bool batch, std::size_t images)
+        : request_id(id), batch(batch), predictions(images) {}
+
+    const std::uint32_t request_id;
+    const bool batch;
+    std::vector<serve::Prediction> predictions;  // slot i: written by image i's completion
+    std::atomic<int> holds{1};
+    std::atomic<bool> failed{false};
+    ErrorFrame error;  // the first failure: written once, by whoever set `failed`
+  };
+
+  /// A decoded classify request the loop has not finished admitting: parked
+  /// for shard space under kBlock, or queued behind one that is.
+  struct Pending {
+    ClassifyRequest request;
+    std::shared_ptr<Reply> reply;
+    int next = 0;         // first image not yet admitted
+    bool parked = false;  // refused once already (retries are not recounted)
+    Clock::time_point parked_at{};
   };
 
   struct Connection {
-    Connection(Socket sock, std::uint64_t id, std::size_t max_frame_bytes)
-        : socket(std::move(sock)), id(id), decoder(max_frame_bytes) {}
+    Connection(Socket sock, std::uint64_t id, std::size_t max_frame_bytes,
+               std::shared_ptr<Shared> shared)
+        : socket(std::move(sock)), id(id), decoder(max_frame_bytes), shared(std::move(shared)) {}
 
     Socket socket;
     const std::uint64_t id;
     FrameDecoder decoder;
+    const std::shared_ptr<Shared> shared;
 
-    // guards inbox, submitted, outbox, flags below
+    // Loop thread only.
+    std::deque<Pending> parked;       // admission order; reads pause while non-empty
+    bool input_closed = false;        // no further requests will be read
+    bool close_after_flush = false;   // framing error: flush the error frame, then close
+    std::vector<std::uint8_t> sending;  // frames taken from outbox, being written
+    std::size_t sent = 0;               // written prefix of `sending`
+
+    // Shared with completions.
     util::DebugMutex mutex BLURNET_LOCK_CLASS("net::Server::connection");
-    util::DebugConditionVariable cv;  // submitter waits for inbox work / abandon
-    util::DebugConditionVariable harvest_cv;  // harvester waits for submitted work
-    std::deque<PendingRequest> inbox;   // decoded, not yet submitted
-    std::deque<PendingReply> submitted;  // submitted, awaiting harvest
-    std::vector<std::uint8_t> outbox;  // encoded frames awaiting write
-    std::size_t outbox_offset = 0;     // flushed prefix of outbox
-    bool input_closed = false;    // no further requests will be enqueued
-    bool close_after_flush = false;  // framing error: flush the error frame, then close
+    std::vector<std::uint8_t> outbox;  // encoded frames not yet taken for writing
+    int replies_in_flight = 0;         // classify requests decoded, not yet answered
+    bool abandoned = false;            // retired: late completions write nothing
 
-    std::atomic<bool> abandoned{false};   // submitter/harvester: drop pending work now
-    std::atomic<int> replies_in_flight{0};  // inbox + submitted + currently harvesting
-    std::atomic<bool> submitter_done{false};
-    std::atomic<bool> harvester_done{false};
-    std::thread submitter;
-    std::thread harvester;
-
-    // Per-connection counters (atomic: loop + harvester both touch them).
+    // Per-connection counters (atomic: stats() reads them from any thread).
     std::atomic<std::int64_t> frames_in{0};
     std::atomic<std::int64_t> requests{0};
     std::atomic<std::int64_t> responses{0};
@@ -178,53 +216,55 @@ class Server {
   void accept_ready();
   /// Read-ready connection: pull bytes, decode frames, dispatch. Returns
   /// false when the connection should be torn down (EOF/reset).
-  bool read_ready(Connection& conn);
-  /// Flush as much outbox as the socket accepts. Returns false on write
+  bool read_ready(const std::shared_ptr<Connection>& conn);
+  /// Write as much queued output as the socket accepts, holding the
+  /// connection's lock only to take the outbox. Returns false on write
   /// failure (peer gone).
   bool flush_outbox(Connection& conn);
-  void handle_frame(Connection& conn, const Frame& frame);
-  void handle_classify(Connection& conn, const Frame& frame, bool batch);
+  void handle_frame(const std::shared_ptr<Connection>& conn, const Frame& frame);
+  void handle_classify(const std::shared_ptr<Connection>& conn, const Frame& frame, bool batch);
+  /// Admit the rest of `pending`'s images through try_submit(). Returns
+  /// false when the shard is full under kBlock (the request stays parked);
+  /// true once the request is fully admitted or has failed.
+  bool admit(const std::shared_ptr<Connection>& conn, Pending& pending);
   /// Queue an error frame on the connection (counts errors_sent + specific
   /// counters per code).
-  void queue_error(Connection& conn, std::uint32_t request_id, ErrorCode code,
-                   const std::string& message);
-  void queue_frame(Connection& conn, Opcode opcode, std::uint32_t request_id,
-                   const std::vector<std::uint8_t>& payload);
-  /// Per-connection submitter: pops decoded requests off the inbox and runs
-  /// engine submit() — off the event loop, so blocking admission (kBlock)
-  /// stalls only this connection. Engine-side failures become typed error
-  /// frames (kOverload / kInvalidRequest / kInternal), never a crash.
-  void submitter_loop(const std::shared_ptr<Connection>& conn);
-  void harvester_loop(const std::shared_ptr<Connection>& conn);
-  /// Abandon + close a connection and move it to the zombie list for joining.
+  static void queue_error(Connection& conn, std::uint32_t request_id, const ErrorFrame& error);
+  /// Queue a frame on the connection. Returns false, queueing nothing, once
+  /// the connection is retired.
+  static bool queue_frame(Connection& conn, Opcode opcode, std::uint32_t request_id,
+                          const std::vector<std::uint8_t>& payload);
+  /// Record `error` as the reply's outcome unless an earlier failure is.
+  static void fail(Reply& reply, ErrorFrame error);
+  /// Drop one hold on `reply`; the last one writes its frame and returns
+  /// true (the caller then wakes the loop if it is not the loop).
+  static bool drop_hold(Connection& conn, Reply& reply);
+  /// The engine completion of image `index`: store its outcome and drop its
+  /// hold. Runs on a replica worker, possibly after the Server is gone.
+  static void complete(Connection& conn, Reply& reply, int index, serve::Prediction prediction,
+                       std::exception_ptr error);
+  /// Abandon + close a connection. Its late completions write nothing.
   void retire(std::size_t index);
-  /// Signal the event loop (harvesters call this after queueing output).
-  void wake();
 
   serve::InferenceEngine& engine_;
   ServerConfig config_;
   std::uint16_t port_ = 0;
 
   Socket listener_;
-  int wake_read_fd_ = -1;   // self-pipe: poll() wake-up
-  int wake_write_fd_ = -1;
+  std::shared_ptr<Shared> shared_;
 
   std::atomic<bool> draining_{false};
-  std::atomic<bool> loop_exited_{false};
 
   std::thread loop_;
-  // Connections are owned by shared_ptrs handed to both the loop and the
-  // harvester; `connections_` (loop-only) holds the live set, `zombies_`
-  // (mutex-guarded) the retired ones awaiting a join.
-  // Lock hierarchy (outermost first): lifecycle -> roster -> connection ->
-  // zombies, with the engine's locks (shards -> queue) below any of them —
-  // stats() and the submitter threads call into the engine, nothing in the
-  // engine calls back into the server. Locks on one level are never nested
-  // (e.g. two connections' mutexes are never held together). Enforced in
-  // Debug builds by util::DebugMutex (src/util/lockdep.h).
+  // `connections_` is the live set, loop-thread only. A connection is owned
+  // by shared_ptrs held there and by its in-flight completions.
+  // Lock hierarchy (outermost first): lifecycle -> roster -> connection,
+  // with the engine's locks (shards -> queue) never held together with any of
+  // them: the loop calls try_submit() holding no connection lock, and the
+  // engine runs completions holding no engine lock. Locks on one level are
+  // never nested (e.g. two connections' mutexes are never held together).
+  // Enforced in Debug builds by util::DebugMutex (src/util/lockdep.h).
   std::vector<std::shared_ptr<Connection>> connections_;
-  mutable util::DebugMutex zombies_mutex_ BLURNET_LOCK_CLASS("net::Server::zombies");
-  std::vector<std::shared_ptr<Connection>> zombies_;
 
   // serializes stop() callers
   util::DebugMutex lifecycle_mutex_ BLURNET_LOCK_CLASS("net::Server::lifecycle");
@@ -233,17 +273,13 @@ class Server {
   std::atomic<std::uint64_t> next_connection_id_{1};
   std::atomic<std::int64_t> accepted_{0};
   std::atomic<std::int64_t> frames_in_{0};
-  std::atomic<std::int64_t> frames_out_{0};
   std::atomic<std::int64_t> bytes_in_{0};
   std::atomic<std::int64_t> bytes_out_{0};
   std::atomic<std::int64_t> classify_{0};
   std::atomic<std::int64_t> classify_batch_{0};
   std::atomic<std::int64_t> stats_{0};
   std::atomic<std::int64_t> ping_{0};
-  std::atomic<std::int64_t> errors_sent_{0};
   std::atomic<std::int64_t> protocol_errors_{0};
-  std::atomic<std::int64_t> overloads_{0};
-  std::atomic<std::int64_t> shutdown_rejected_{0};
 
   // `connections_` is loop-thread-only, but stats() runs on caller threads;
   // this mutex guards the snapshot the loop maintains for it.

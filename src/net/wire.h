@@ -27,9 +27,10 @@
 // validation failures, ShuttingDownError during server drain.
 //
 // Responses carry the request's id and may interleave across opcodes on one
-// connection; classify responses for a connection always come back in
-// submission order (the server harvests futures FIFO per connection), so a
-// pipelined client can keep many requests in flight and match replies by id.
+// connection. Classify responses come back in completion order, not
+// submission order: a request served by a fast variant can overtake an
+// earlier one queued on a slow variant. A pipelined client keeps many
+// requests in flight and matches replies by id.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 
 #include "src/tensor/ops.h"
 #include "src/util/arena.h"
+#include "src/util/logging.h"
 
 namespace blurnet::serve {
 
@@ -102,36 +103,16 @@ InferenceEngine::InferenceEngine(EngineConfig config)
 InferenceEngine::InferenceEngine(nn::LisaCnn model, nn::FixedFilterSpec defense,
                                  int max_batch, int replicas, int queue_capacity,
                                  OverloadPolicy overload_policy, int block_timeout_ms)
-    : model_(std::move(model)), max_batch_(max_batch), default_replicas_(replicas),
-      queue_capacity_(queue_capacity), overload_policy_(overload_policy),
-      block_timeout_ms_(block_timeout_ms) {
-  if (max_batch_ < 1) {
-    throw std::invalid_argument("InferenceEngine: max_batch must be >= 1 (got " +
-                                std::to_string(max_batch_) + ")");
-  }
-  if (default_replicas_ < 1) {
-    throw std::invalid_argument("InferenceEngine: replicas must be >= 1 (got " +
-                                std::to_string(default_replicas_) + ")");
-  }
-  if (queue_capacity_ < 1) {
-    throw std::invalid_argument("InferenceEngine: queue_capacity must be >= 1 (got " +
-                                std::to_string(queue_capacity_) + ")");
-  }
-  if (block_timeout_ms_ < 0) {
-    throw std::invalid_argument("InferenceEngine: block_timeout_ms must be >= 0 (got " +
-                                std::to_string(block_timeout_ms_) + ")");
-  }
-  if (overload_policy_ == OverloadPolicy::kReject && block_timeout_ms_ != 0) {
-    throw std::invalid_argument(
-        "InferenceEngine: block_timeout_ms (" + std::to_string(block_timeout_ms_) +
-        ") only applies to OverloadPolicy::kBlock — a kReject engine never waits");
-  }
-  register_variant_locked(kBaseVariant, model_.config(), default_replicas_);
+    : model_(std::move(model)),
+      config_{model_.config(), defense, max_batch, replicas, queue_capacity, overload_policy,
+              block_timeout_ms} {
+  config_.validate();
+  register_variant_locked(kBaseVariant, model_.config(), config_.replicas);
   defense_enabled_ = defense.placement != nn::FilterPlacement::kNone && defense.kernel > 0;
   if (defense_enabled_) {
     nn::LisaCnnConfig defended = model_.config();
     defended.fixed_filter = defense;
-    register_variant_locked(kDefendedVariant, defended, default_replicas_);
+    register_variant_locked(kDefendedVariant, defended, config_.replicas);
   } else {
     // No filter to wrap: serve "defended" from the base shard instead of
     // cloning a second, identical set of replicas.
@@ -171,7 +152,7 @@ void InferenceEngine::register_shard_locked(const std::string& name,
     throw std::invalid_argument("register_variant: variant \"" + name +
                                 "\" input shape does not match the base model");
   }
-  if (replicas == 0) replicas = default_replicas_;
+  if (replicas == 0) replicas = config_.replicas;
   if (replicas < 1) {
     throw std::invalid_argument("register_variant: replicas must be >= 1 (got " +
                                 std::to_string(replicas) + ")");
@@ -368,7 +349,7 @@ Replica& InferenceEngine::route_locked(VariantShard& shard) const {
 
 std::vector<Prediction> InferenceEngine::classify(const Tensor& images,
                                                   const Options& options) const {
-  const int cap = effective_max_batch(options, max_batch_, "InferenceEngine::classify");
+  const int cap = effective_max_batch(options, config_.max_batch, "InferenceEngine::classify");
   const Tensor batch = as_batch(images, model_.config(), "InferenceEngine::classify");
   Replica* replica;
   {
@@ -395,9 +376,34 @@ Tensor InferenceEngine::classify_logits(const Tensor& images, const Options& opt
   return out;
 }
 
+void InferenceEngine::submit(Tensor image, Options options, Completion done) {
+  enqueue(std::move(image), options, std::move(done), Admission::kWait);
+}
+
+bool InferenceEngine::try_submit(Tensor image, Options options, Completion done, bool retry) {
+  return enqueue(std::move(image), options, std::move(done),
+                 retry ? Admission::kRetry : Admission::kTry);
+}
+
 std::future<Prediction> InferenceEngine::submit(Tensor image, Options options) {
+  auto promise = std::make_shared<std::promise<Prediction>>();
+  std::future<Prediction> future = promise->get_future();
+  submit(std::move(image), std::move(options),
+         [promise](Prediction prediction, std::exception_ptr error) {
+           if (error) {
+             promise->set_exception(error);
+           } else {
+             promise->set_value(std::move(prediction));
+           }
+         });
+  return future;
+}
+
+bool InferenceEngine::enqueue(Tensor image, const Options& options, Completion done,
+                              Admission admission) {
+  if (!done) throw std::invalid_argument("InferenceEngine::submit: empty completion");
   VariantShard& shard = require_shard(options.variant);
-  const int cap = effective_max_batch(options, max_batch_, "InferenceEngine::submit");
+  const int cap = effective_max_batch(options, config_.max_batch, "InferenceEngine::submit");
   Tensor batch = as_batch(image, model_.config(), "InferenceEngine::submit");
   if (batch.dim(0) != 1) {
     throw std::invalid_argument("InferenceEngine::submit: expected a single image, got a batch of " +
@@ -408,9 +414,8 @@ std::future<Prediction> InferenceEngine::submit(Tensor image, Options options) {
   // clone (a default-constructed member would cost a dead scalar allocation
   // per submit).
   Request request{batch.reshape(Shape{batch.dim(1), batch.dim(2), batch.dim(3)}).clone(),
-                  cap, {}, {}};
-  std::future<Prediction> future = request.promise.get_future();
-  const auto capacity = static_cast<std::size_t>(queue_capacity_);
+                  cap, {}, std::move(done)};
+  const auto capacity = static_cast<std::size_t>(config_.queue_capacity);
   {
     std::unique_lock<util::DebugMutex> lock(queue_mutex_);
     if (stop_) throw std::runtime_error("InferenceEngine::submit: engine is shutting down");
@@ -425,8 +430,9 @@ std::future<Prediction> InferenceEngine::submit(Tensor image, Options options) {
     // Bounded queue: admission control happens here, before the request is
     // visible to any worker, so a shed request costs the engine nothing.
     if (shard.pending.size() >= capacity) {
-      if (overload_policy_ == OverloadPolicy::kReject) {
+      if (config_.overload_policy == OverloadPolicy::kReject) {
         ++shard.rejected;
+        if (admission != Admission::kWait) return false;
         throw OverloadError("InferenceEngine::submit: variant \"" + options.variant +
                             "\" queue is full (" + std::to_string(capacity) +
                             " pending, policy reject)");
@@ -436,8 +442,10 @@ std::future<Prediction> InferenceEngine::submit(Tensor image, Options options) {
       // slot, so a notify_all never turns into a thundering-herd race where
       // the scheduler picks the winner. Each admitted (or departing) waiter
       // erases its ticket and re-notifies, cascading slots down the line in
-      // arrival order.
-      ++shard.blocked;
+      // arrival order. A non-blocking caller parks the request itself and
+      // retries; it counts as blocked on its first refusal only.
+      if (admission != Admission::kRetry) ++shard.blocked;
+      if (admission != Admission::kWait) return false;
       const std::uint64_t ticket = shard.next_block_ticket++;
       shard.block_waiters.push_back(ticket);
       auto admitted = [&] {
@@ -449,15 +457,15 @@ std::future<Prediction> InferenceEngine::submit(Tensor image, Options options) {
         if (it != shard.block_waiters.end()) shard.block_waiters.erase(it);
         shard.space_cv.notify_all();  // the next ticket in line may now be admissible
       };
-      if (block_timeout_ms_ > 0) {
-        if (!shard.space_cv.wait_for(lock, std::chrono::milliseconds(block_timeout_ms_),
+      if (config_.block_timeout_ms > 0) {
+        if (!shard.space_cv.wait_for(lock, std::chrono::milliseconds(config_.block_timeout_ms),
                                      admitted)) {
           leave_line();
           ++shard.rejected;
           throw OverloadError("InferenceEngine::submit: variant \"" + options.variant +
                               "\" queue is full (" + std::to_string(capacity) +
                               " pending, policy block, timed out after " +
-                              std::to_string(block_timeout_ms_) + " ms)");
+                              std::to_string(config_.block_timeout_ms) + " ms)");
         }
       } else {
         shard.space_cv.wait(lock, admitted);
@@ -471,13 +479,13 @@ std::future<Prediction> InferenceEngine::submit(Tensor image, Options options) {
                                 static_cast<std::int64_t>(shard.pending.size()));
   }
   shard.cv.notify_one();
-  return future;
+  return true;
 }
 
 void InferenceEngine::worker_loop(VariantShard* shard, Replica* replica) {
   for (;;) {
     std::vector<Request> coalesced;
-    int cap = max_batch_;
+    int cap = config_.max_batch;
     {
       std::unique_lock<util::DebugMutex> lock(queue_mutex_);
       shard->cv.wait(lock, [&] { return stop_ || !shard->pending.empty(); });
@@ -498,6 +506,8 @@ void InferenceEngine::worker_loop(VariantShard* shard, Replica* replica) {
     shard->space_cv.notify_all();
 
     const std::int64_t count = static_cast<std::int64_t>(coalesced.size());
+    std::vector<Prediction> predictions;
+    std::exception_ptr error;
     replica->begin_call();  // queued batches count toward the router's load
     {
       // The assembled batch tensor is transient: frame it in this worker's
@@ -512,28 +522,34 @@ void InferenceEngine::worker_loop(VariantShard* shard, Replica* replica) {
           const Tensor& image = coalesced[static_cast<std::size_t>(i)].image;
           std::copy(image.data(), image.data() + stride, batch.data() + i * stride);
         }
-        // Stats are counted inside run(), before the promises resolve: a caller
-        // observing its future must see its batch reflected in stats().
-        std::vector<Prediction> predictions = replica->run(batch, cap, /*queued=*/true);
-        // Latency (enqueue→resolve) is recorded before the promises resolve
-        // for the same reason: a caller that has observed its future must
-        // find its request in the latency snapshot.
+        // Stats are counted inside run(), before any completion runs: a
+        // caller that has seen its outcome must see its batch in stats().
+        predictions = replica->run(batch, cap, /*queued=*/true);
+        // Latency (enqueue→resolve) is recorded before the completions for
+        // the same reason: a caller that has seen its outcome must find its
+        // request in the latency snapshot.
         const auto now = std::chrono::steady_clock::now();
         for (const auto& request : coalesced) {
           shard->latency.record(
               std::chrono::duration<double, std::micro>(now - request.enqueued).count());
         }
-        for (std::int64_t i = 0; i < count; ++i) {
-          coalesced[static_cast<std::size_t>(i)].promise.set_value(
-              std::move(predictions[static_cast<std::size_t>(i)]));
-        }
       } catch (...) {
-        for (auto& request : coalesced) {
-          request.promise.set_exception(std::current_exception());
-        }
+        error = std::current_exception();
       }
     }
     replica->end_call();
+    // Outside the arena frame and every engine lock: a completion may
+    // allocate, encode, or wake another thread.
+    for (std::int64_t i = 0; i < count; ++i) {
+      const auto slot = static_cast<std::size_t>(i);
+      try {
+        coalesced[slot].done(error ? Prediction{} : std::move(predictions[slot]), error);
+      } catch (const std::exception& e) {
+        // Completions must not throw; one that does must not end the worker.
+        util::log_error() << "InferenceEngine: a completion for variant \"" << shard->name
+                          << "\" threw: " << e.what();
+      }
+    }
   }
 }
 

@@ -34,7 +34,8 @@
 //     image or an NCHW batch. One forward pass per max_batch slice. The
 //     router picks the least-loaded replica of the variant, so independent
 //     callers spread across replicas instead of queueing on one model.
-//   * submit(image, options): queue a single image and get a future. Each
+//   * submit(image, options, completion): queue a single image; a replica
+//     worker invokes the completion with its prediction (or error). Each
 //     replica runs a worker that coalesces compatible queued requests (same
 //     variant) into one forward pass of up to max_batch images; with R
 //     replicas, R coalesced batches of a variant can be in flight at once.
@@ -42,9 +43,10 @@
 //     rejects the submit with OverloadError or blocks the caller for
 //     backpressure, per EngineConfig::overload_policy, so overload degrades
 //     into explicit sheds or bounded waiting instead of unbounded memory
-//     growth and runaway tail latency. Per-variant queue depth high-water
-//     marks and enqueue→resolve latency quantiles are readable mid-run
-//     through stats().
+//     growth and runaway tail latency. try_submit() is the non-blocking form
+//     for event loops, and submit(image, options) wraps the completion in a
+//     std::future. Per-variant queue depth high-water marks and
+//     enqueue→resolve latency quantiles are readable mid-run through stats().
 //
 // Every replica is a deep clone of the base weights (LisaCnn::clone), so
 // per-image results are bitwise identical for any replica count, batch
@@ -57,6 +59,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -90,6 +94,15 @@ const char* to_string(OverloadPolicy policy);
 struct OverloadError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// Receives the outcome of one queued request: its prediction, or — when
+/// `error` is set — the exception that failed it (a throwing transform or
+/// forward), with `prediction` left empty. The replica worker that served the
+/// request invokes it exactly once, after the request shows up in stats() and
+/// the latency snapshot, with no engine lock held. It runs on the worker, so
+/// it must be quick and must not block on the engine; it must not throw
+/// either (an exception that escapes it is logged and dropped).
+using Completion = std::function<void(Prediction prediction, std::exception_ptr error)>;
 
 struct EngineConfig {
   nn::LisaCnnConfig model;
@@ -131,7 +144,7 @@ struct VariantStats {
   std::int64_t queue_depth = 0;  // requests pending right now
   std::int64_t queue_peak = 0;   // high-water mark of the pending queue
   std::int64_t rejected = 0;     // submits shed by the overload policy
-  std::int64_t blocked = 0;      // submits that had to wait for a slot
+  std::int64_t blocked = 0;      // submits that had to wait (or park) for a slot
   /// Enqueue→resolve latency over the ring window; readable mid-run.
   LatencySnapshot latency;
 };
@@ -234,11 +247,11 @@ class InferenceEngine {
   bool defense_enabled() const { return defense_enabled_; }
 
   /// The admission-control knobs the engine was built with. Front-ends that
-  /// call submit() from threads they must be able to join (e.g. the socket
-  /// server's per-connection submitters) validate against these: kBlock with
-  /// block_timeout_ms == 0 waits for queue space indefinitely.
-  OverloadPolicy overload_policy() const { return overload_policy_; }
-  int block_timeout_ms() const { return block_timeout_ms_; }
+  /// admit through try_submit() read these to decide whether a refused
+  /// request is shed (kReject) or parked and retried (kBlock), and for how
+  /// long (block_timeout_ms; 0 = until space frees).
+  OverloadPolicy overload_policy() const { return config_.overload_policy; }
+  int block_timeout_ms() const { return config_.block_timeout_ms; }
 
   /// Classify a CHW image or an NCHW batch through the named variant.
   /// Returns one Prediction per image, in input order. Thread-safe.
@@ -253,11 +266,24 @@ class InferenceEngine {
                                  const Options& options = {}) const;
 
   /// Queue one CHW (or [1,C,H,W]) image for coalesced classification through
-  /// the named variant. Replica workers are spawned lazily on the first call,
-  /// so classify()-only engines never pay for them. The variant's queue is
-  /// bounded by EngineConfig::queue_capacity: when full, kReject throws
-  /// OverloadError immediately and kBlock waits for a slot (throwing
-  /// OverloadError only if block_timeout_ms elapses first).
+  /// the named variant; `done` receives the outcome (see Completion). Replica
+  /// workers are spawned lazily on the first call, so classify()-only engines
+  /// never pay for them. The variant's queue is bounded by
+  /// EngineConfig::queue_capacity: when full, kReject throws OverloadError
+  /// immediately and kBlock waits for a slot (throwing OverloadError only if
+  /// block_timeout_ms elapses first). When submit throws, `done` is never
+  /// invoked.
+  void submit(tensor::Tensor image, Options options, Completion done);
+  /// Non-blocking admission: queue the request like submit() and return
+  /// true, or return false — dropping `done` uncalled — when the variant's
+  /// queue is full. A refusal counts once in `rejected` under kReject; under
+  /// kBlock it counts once in `blocked`, and a caller that parks the request
+  /// and retries passes `retry = true` on later attempts so the request is
+  /// not counted again. Other failures (unknown variant, bad shape, engine
+  /// shutting down) throw as in submit().
+  bool try_submit(tensor::Tensor image, Options options, Completion done, bool retry = false);
+  /// submit() with the outcome delivered through a future: a thin wrapper for
+  /// callers that wait on each request.
   std::future<Prediction> submit(tensor::Tensor image, Options options = {});
 
   EngineStats stats() const;
@@ -273,8 +299,16 @@ class InferenceEngine {
     tensor::Tensor image;  // CHW
     int max_batch = 0;  // cap for the coalesced batch this request leads
     std::chrono::steady_clock::time_point enqueued;  // for the latency ring
-    std::promise<Prediction> promise;
+    Completion done;
   };
+
+  /// How a request asks for admission: wait for a slot (submit()), or take
+  /// a refusal — first attempt or the retry of a parked request.
+  enum class Admission { kWait, kTry, kRetry };
+  /// The one admission path behind submit() and try_submit(). Returns false
+  /// only for a refused kTry/kRetry.
+  bool enqueue(tensor::Tensor image, const Options& options, Completion done,
+               Admission admission);
 
   /// Samples each variant's latency ring holds. Large enough that a p999 over
   /// the window is meaningful, small enough that snapshot()'s sort is cheap.
@@ -304,7 +338,7 @@ class InferenceEngine {
     bool workers_spawned = false;
     std::int64_t queue_peak = 0;  // high-water mark of pending.size()
     std::int64_t rejected = 0;    // submits shed by the overload policy
-    std::int64_t blocked = 0;     // submits that had to wait for a slot
+    std::int64_t blocked = 0;     // submits that had to wait (or park) for a slot
     LatencyRing latency{kLatencyWindow};  // enqueue→resolve, microseconds
   };
 
@@ -325,11 +359,8 @@ class InferenceEngine {
   void worker_loop(VariantShard* shard, Replica* replica);
 
   nn::LisaCnn model_;
-  int max_batch_ = 64;
-  int default_replicas_ = 1;
-  int queue_capacity_ = 1024;
-  OverloadPolicy overload_policy_ = OverloadPolicy::kReject;
-  int block_timeout_ms_ = 0;
+  /// The validated serving knobs; `config_.model` is the base architecture.
+  EngineConfig config_;
   bool defense_enabled_ = false;
 
   // Lock hierarchy (outermost first): shards_mutex_ -> queue_mutex_ ->

@@ -1,11 +1,9 @@
 #include "src/serve/loadgen.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -37,10 +35,6 @@ void LoadConfig::validate() const {
   if (requests < 1) {
     throw std::invalid_argument("LoadConfig: requests must be >= 1 (got " +
                                 std::to_string(requests) + ")");
-  }
-  if (reservoir < 1) {
-    throw std::invalid_argument("LoadConfig: reservoir must be >= 1 (got " +
-                                std::to_string(reservoir) + ")");
   }
   if (max_batch < 0) {
     throw std::invalid_argument("LoadConfig: max_batch must be >= 0 (0 = engine default, got " +
@@ -144,25 +138,10 @@ void LoadGenerator::build_schedule() {
   }
 }
 
-namespace {
-
-/// Completion-side state for one mix variant. The sender pushes futures in
-/// submission order; the harvester thread resolves them in that order and
-/// records completion − scheduled-arrival into a fixed ring.
-struct Harvest {
-  util::DebugMutex mutex BLURNET_LOCK_CLASS("serve::LoadGenerator::harvest");
-  util::DebugConditionVariable cv;
-  std::deque<std::pair<std::size_t, std::future<Prediction>>> inbox;
-  bool done = false;
-
-  std::vector<double> window;  // latency ring, microseconds
-  std::int64_t count = 0;
-  std::int64_t served = 0;
-  std::int64_t failed = 0;
-  Clock::time_point last_completion{};
-};
-
-}  // namespace
+void LoadGenerator::sleep_until_due(Clock::time_point t0, std::size_t i) const {
+  std::this_thread::sleep_until(
+      t0 + std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(offsets_[i])));
+}
 
 LoadReport LoadGenerator::run(const tensor::Tensor& image) {
   // Fail before any traffic if the mix names an unknown variant.
@@ -173,150 +152,48 @@ LoadReport LoadGenerator::run(const tensor::Tensor& image) {
     }
   }
 
-  const auto reservoir = static_cast<std::size_t>(config_.reservoir);
-  std::vector<Harvest> harvests(mix_.size());
-  std::vector<std::int64_t> rejected(mix_.size(), 0);
-
-  const Clock::time_point t0 = Clock::now();
-  std::vector<std::thread> harvesters;
-  harvesters.reserve(mix_.size());
-  for (std::size_t m = 0; m < mix_.size(); ++m) {
-    harvesters.emplace_back([this, &harvests, t0, reservoir, m] {
-      Harvest& h = harvests[m];
-      for (;;) {
-        std::pair<std::size_t, std::future<Prediction>> item;
-        {
-          std::unique_lock<util::DebugMutex> lock(h.mutex);
-          h.cv.wait(lock, [&] { return h.done || !h.inbox.empty(); });
-          if (h.inbox.empty()) return;  // done and drained
-          item = std::move(h.inbox.front());
-          h.inbox.pop_front();
-        }
-        bool ok = true;
-        try {
-          item.second.get();
-        } catch (...) {
-          ok = false;
-        }
-        const Clock::time_point now = Clock::now();
-        const double scheduled_s = offsets_[item.first];
-        const double latency_us =
-            std::chrono::duration<double, std::micro>(now - t0).count() -
-            scheduled_s * 1e6;
-        if (ok) {
-          if (h.window.size() < reservoir) {
-            h.window.push_back(latency_us);
-          } else {
-            h.window[static_cast<std::size_t>(h.count) % reservoir] = latency_us;
-          }
-          ++h.count;
-          ++h.served;
-        } else {
-          ++h.failed;
-        }
-        h.last_completion = now;
-      }
-    });
-  }
+  // Engine completions fill the records and count `outstanding` down; run()
+  // returns only once it reaches zero, so no completion outlives them.
+  std::vector<Record> records(offsets_.size());
+  util::DebugMutex mutex BLURNET_LOCK_CLASS("serve::LoadGenerator::run");
+  util::DebugConditionVariable all_done;
+  std::size_t outstanding = 0;
 
   // Open-loop sender: fire each request at its scheduled absolute time,
   // regardless of how far behind the engine is. A shed (OverloadError) is
   // counted and never retried.
+  const Clock::time_point t0 = Clock::now();
   for (std::size_t i = 0; i < offsets_.size(); ++i) {
-    const std::size_t m = variants_[i];
-    std::this_thread::sleep_until(
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(offsets_[i])));
+    sleep_until_due(t0, i);
     Options options;
-    options.variant = mix_[m].variant;
+    options.variant = mix_[variants_[i]].variant;
     options.max_batch = config_.max_batch;
-    try {
-      std::future<Prediction> future = engine_.submit(image.clone(), std::move(options));
-      Harvest& h = harvests[m];
-      {
-        std::lock_guard<util::DebugMutex> lock(h.mutex);
-        h.inbox.emplace_back(i, std::move(future));
-      }
-      h.cv.notify_one();
-    } catch (const OverloadError&) {
-      ++rejected[m];
-    }
-  }
-  for (auto& h : harvests) {
     {
-      std::lock_guard<util::DebugMutex> lock(h.mutex);
-      h.done = true;
+      std::lock_guard<util::DebugMutex> lock(mutex);
+      ++outstanding;  // before submit(): the completion may run before it returns
     }
-    h.cv.notify_one();
-  }
-  for (auto& t : harvesters) t.join();
-
-  LoadReport report;
-  report.offered_rps = config_.offered_rps;
-  report.offered = static_cast<std::int64_t>(offsets_.size());
-  Clock::time_point end = Clock::now();
-  std::vector<double> merged;
-  for (std::size_t m = 0; m < mix_.size(); ++m) {
-    Harvest& h = harvests[m];
-    VariantLoadStats vs;
-    vs.variant = mix_[m].variant;
-    for (const std::size_t idx : variants_) {
-      if (idx == m) ++vs.offered;
+    try {
+      engine_.submit(image, std::move(options), [&, i](Prediction, std::exception_ptr error) {
+        records[i].outcome = error ? Record::Outcome::kFailed : Record::Outcome::kServed;
+        records[i].completion = Clock::now();
+        std::lock_guard<util::DebugMutex> lock(mutex);
+        if (--outstanding == 0) all_done.notify_all();
+      });
+      continue;
+    } catch (const OverloadError&) {
+      records[i].outcome = Record::Outcome::kRejected;
+    } catch (const std::exception&) {
+      records[i].outcome = Record::Outcome::kFailed;
     }
-    vs.served = h.served;
-    vs.rejected = rejected[m];
-    vs.failed = h.failed;
-    vs.latency.count = h.count;
-    vs.latency.window = static_cast<std::int64_t>(h.window.size());
-    if (!h.window.empty()) {
-      double sum = 0.0, mx = h.window.front();
-      for (const double v : h.window) {
-        sum += v;
-        mx = std::max(mx, v);
-      }
-      vs.latency.mean_us = sum / static_cast<double>(h.window.size());
-      vs.latency.max_us = mx;
-      vs.latency.p50_us = latency_quantile(h.window, 0.50);
-      vs.latency.p99_us = latency_quantile(h.window, 0.99);
-      vs.latency.p999_us = latency_quantile(h.window, 0.999);
-    }
-    merged.insert(merged.end(), h.window.begin(), h.window.end());
-    report.served += vs.served;
-    report.rejected += vs.rejected;
-    report.failed += vs.failed;
-    if (h.count > 0) end = std::max(end, h.last_completion);
-    report.variants.push_back(std::move(vs));
+    std::lock_guard<util::DebugMutex> lock(mutex);
+    --outstanding;
   }
-  report.duration_s = std::chrono::duration<double>(end - t0).count();
-  report.latency.count = report.served;
-  report.latency.window = static_cast<std::int64_t>(merged.size());
-  if (!merged.empty()) {
-    double sum = 0.0, mx = merged.front();
-    for (const double v : merged) {
-      sum += v;
-      mx = std::max(mx, v);
-    }
-    report.latency.mean_us = sum / static_cast<double>(merged.size());
-    report.latency.max_us = mx;
-    report.latency.p50_us = latency_quantile(merged, 0.50);
-    report.latency.p99_us = latency_quantile(merged, 0.99);
-    report.latency.p999_us = latency_quantile(std::move(merged), 0.999);
-  }
-  if (report.duration_s > 0.0) {
-    report.achieved_rps = static_cast<double>(report.served) / report.duration_s;
-  }
-  return report;
+  std::unique_lock<util::DebugMutex> lock(mutex);
+  all_done.wait(lock, [&] { return outstanding == 0; });
+  return report(records, t0);
 }
 
 namespace {
-
-/// Outcome of one socket request, recorded by its connection's harvester.
-struct SocketRecord {
-  std::size_t index = 0;  // schedule index (variant + scheduled time)
-  enum { kServed, kRejected, kFailed } outcome = kServed;
-  double latency_us = 0.0;
-  Clock::time_point completion{};
-};
 
 /// One client connection plus its share of the pipelined schedule.
 struct SocketLane {
@@ -325,24 +202,22 @@ struct SocketLane {
   util::DebugConditionVariable cv;
   std::deque<std::pair<std::size_t, std::uint32_t>> inbox;  // (schedule idx, request id)
   bool done = false;
-  std::vector<SocketRecord> records;  // harvester-local until the join
 };
 
-void fill_snapshot(LatencySnapshot& snapshot, const std::vector<double>& window,
-                   std::int64_t count) {
-  snapshot.count = count;
-  snapshot.window = static_cast<std::int64_t>(window.size());
-  if (window.empty()) return;
-  double sum = 0.0, mx = window.front();
-  for (const double v : window) {
+void fill_snapshot(LatencySnapshot& snapshot, const std::vector<double>& samples) {
+  snapshot.count = static_cast<std::int64_t>(samples.size());
+  snapshot.window = snapshot.count;
+  if (samples.empty()) return;
+  double sum = 0.0, mx = samples.front();
+  for (const double v : samples) {
     sum += v;
     mx = std::max(mx, v);
   }
-  snapshot.mean_us = sum / static_cast<double>(window.size());
+  snapshot.mean_us = sum / static_cast<double>(samples.size());
   snapshot.max_us = mx;
-  snapshot.p50_us = latency_quantile(window, 0.50);
-  snapshot.p99_us = latency_quantile(window, 0.99);
-  snapshot.p999_us = latency_quantile(window, 0.999);
+  snapshot.p50_us = latency_quantile(samples, 0.50);
+  snapshot.p99_us = latency_quantile(samples, 0.99);
+  snapshot.p999_us = latency_quantile(samples, 0.999);
 }
 
 }  // namespace
@@ -357,54 +232,49 @@ LoadReport LoadGenerator::run_socket(const SocketTransport& transport,
     lane.client->ping();  // fail before any traffic if nothing answers
   }
 
-  const Clock::time_point t0 = Clock::now();
-  std::vector<std::thread> harvesters;
-  harvesters.reserve(lanes_n);
+  // One receiver per lane collects its replies in send order and fills the
+  // records; the server may answer out of order, and the client stashes
+  // early replies until their turn.
+  std::vector<Record> records(offsets_.size());
+  std::vector<std::thread> receivers;
+  receivers.reserve(lanes_n);
   for (auto& lane : lanes) {
-    harvesters.emplace_back([this, &lane, t0] {
+    receivers.emplace_back([&lane, &records] {
       for (;;) {
         std::pair<std::size_t, std::uint32_t> item;
         {
           std::unique_lock<util::DebugMutex> lock(lane.mutex);
           lane.cv.wait(lock, [&] { return lane.done || !lane.inbox.empty(); });
           if (lane.inbox.empty()) return;  // done and drained
-          item = std::move(lane.inbox.front());
+          item = lane.inbox.front();
           lane.inbox.pop_front();
         }
-        SocketRecord record;
-        record.index = item.first;
+        Record& record = records[item.first];
         try {
           lane.client->receive_classify(item.second);
-          record.outcome = SocketRecord::kServed;
+          record.outcome = Record::Outcome::kServed;
         } catch (const OverloadError&) {
-          record.outcome = SocketRecord::kRejected;  // server-side shed
+          record.outcome = Record::Outcome::kRejected;  // server-side shed
         } catch (const std::exception&) {
-          record.outcome = SocketRecord::kFailed;
+          record.outcome = Record::Outcome::kFailed;
         }
         record.completion = Clock::now();
-        record.latency_us =
-            std::chrono::duration<double, std::micro>(record.completion - t0).count() -
-            offsets_[item.first] * 1e6;
-        lane.records.push_back(record);
       }
     });
   }
 
   // Open-loop sender, same absolute-time firing as run(); the wire write is
   // the only thing that differs. A send failure (server gone) is recorded as
-  // a failed request and the lane stops being used.
-  std::vector<std::int64_t> send_failed(mix_.size(), 0);
+  // a failed request.
+  const Clock::time_point t0 = Clock::now();
   for (std::size_t i = 0; i < offsets_.size(); ++i) {
-    const std::size_t m = variants_[i];
     SocketLane& lane = lanes[i % lanes_n];
-    std::this_thread::sleep_until(
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(offsets_[i])));
+    sleep_until_due(t0, i);
     std::uint32_t request_id = 0;
     try {
-      request_id = lane.client->send_classify(image, mix_[m].variant, config_.max_batch);
+      request_id = lane.client->send_classify(image, mix_[variants_[i]].variant, config_.max_batch);
     } catch (const std::exception&) {
-      ++send_failed[m];
+      records[i].outcome = Record::Outcome::kFailed;
       continue;
     }
     {
@@ -420,62 +290,44 @@ LoadReport LoadGenerator::run_socket(const SocketTransport& transport,
     }
     lane.cv.notify_one();
   }
-  for (auto& t : harvesters) t.join();
+  for (auto& t : receivers) t.join();
+  return report(records, t0);
+}
 
-  // Merge the per-lane records into per-variant reservoirs (ring of the
-  // latest `reservoir` samples, like run()).
-  const auto reservoir = static_cast<std::size_t>(config_.reservoir);
+LoadReport LoadGenerator::report(const std::vector<Record>& records, Clock::time_point t0) const {
   LoadReport report;
   report.offered_rps = config_.offered_rps;
-  report.offered = static_cast<std::int64_t>(offsets_.size());
-  Clock::time_point end = Clock::now();
-
-  std::vector<VariantLoadStats> per_variant(mix_.size());
-  std::vector<std::vector<double>> windows(mix_.size());
-  std::vector<std::int64_t> counts(mix_.size(), 0);
+  report.offered = static_cast<std::int64_t>(records.size());
+  report.duration_s = std::chrono::duration<double>(Clock::now() - t0).count();
+  report.variants.resize(mix_.size());
+  std::vector<std::vector<double>> samples(mix_.size());
+  for (std::size_t m = 0; m < mix_.size(); ++m) report.variants[m].variant = mix_[m].variant;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::size_t m = variants_[i];
+    VariantLoadStats& vs = report.variants[m];
+    ++vs.offered;
+    switch (records[i].outcome) {
+      case Record::Outcome::kServed:
+        ++vs.served;
+        samples[m].push_back(
+            std::chrono::duration<double, std::micro>(records[i].completion - t0).count() -
+            offsets_[i] * 1e6);
+        break;
+      case Record::Outcome::kRejected: ++vs.rejected; break;
+      case Record::Outcome::kPending:
+      case Record::Outcome::kFailed: ++vs.failed; break;
+    }
+  }
   std::vector<double> merged;
   for (std::size_t m = 0; m < mix_.size(); ++m) {
-    per_variant[m].variant = mix_[m].variant;
-    per_variant[m].failed = send_failed[m];
-    for (const std::size_t idx : variants_) {
-      if (idx == m) ++per_variant[m].offered;
-    }
+    VariantLoadStats& vs = report.variants[m];
+    fill_snapshot(vs.latency, samples[m]);
+    merged.insert(merged.end(), samples[m].begin(), samples[m].end());
+    report.served += vs.served;
+    report.rejected += vs.rejected;
+    report.failed += vs.failed;
   }
-  for (const auto& lane : lanes) {
-    for (const auto& record : lane.records) {
-      const std::size_t m = variants_[record.index];
-      switch (record.outcome) {
-        case SocketRecord::kServed: {
-          auto& window = windows[m];
-          if (window.size() < reservoir) {
-            window.push_back(record.latency_us);
-          } else {
-            window[static_cast<std::size_t>(counts[m]) % reservoir] = record.latency_us;
-          }
-          ++counts[m];
-          ++per_variant[m].served;
-          end = std::max(end, record.completion);
-          break;
-        }
-        case SocketRecord::kRejected:
-          ++per_variant[m].rejected;
-          break;
-        case SocketRecord::kFailed:
-          ++per_variant[m].failed;
-          break;
-      }
-    }
-  }
-  for (std::size_t m = 0; m < mix_.size(); ++m) {
-    fill_snapshot(per_variant[m].latency, windows[m], counts[m]);
-    merged.insert(merged.end(), windows[m].begin(), windows[m].end());
-    report.served += per_variant[m].served;
-    report.rejected += per_variant[m].rejected;
-    report.failed += per_variant[m].failed;
-    report.variants.push_back(std::move(per_variant[m]));
-  }
-  report.duration_s = std::chrono::duration<double>(end - t0).count();
-  fill_snapshot(report.latency, merged, report.served);
+  fill_snapshot(report.latency, merged);
   if (report.duration_s > 0.0) {
     report.achieved_rps = static_cast<double>(report.served) / report.duration_s;
   }

@@ -27,12 +27,17 @@
 //
 // Rejected submits (OverloadError under the engine's reject policy, or a
 // block-policy timeout) are counted per variant, never retried — an open-loop
-// shed is load the server refused, which is the datum. Completions are
-// harvested by one thread per mix variant, in submission order; a request
-// completing behind a slower earlier one is timed at the earlier one's
-// resolution (a small conservative bias, bounded by one coalesced batch).
+// shed is load the server refused, which is the datum. In-process, run()
+// spawns no threads besides its own sender: each request's engine completion
+// stamps its own record on the worker that served it. Over the socket,
+// run_socket() keeps one receiver per client connection, which reads replies
+// in send order; a reply arriving ahead of an earlier one on its connection
+// is timed when its turn comes (a small conservative bias). Both fill one
+// record per scheduled request, and one report builder folds the records
+// into the LoadReport.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -69,21 +74,19 @@ struct LoadConfig {
   std::vector<VariantMix> mix;
   /// Options::max_batch passed through to submit(); 0 = engine default.
   int max_batch = 0;
-  /// Per-variant latency reservoir capacity (ring of the latest samples).
-  int reservoir = 65536;
 
   /// Reject malformed configs with a descriptive std::invalid_argument
   /// (engine validation style).
   void validate() const;
 };
 
-/// Per-variant outcome counters and latency over the reservoir window.
+/// Per-variant outcome counters and latency over every served request.
 struct VariantLoadStats {
   std::string variant;
   std::int64_t offered = 0;   // requests the schedule routed here
-  std::int64_t served = 0;    // futures that resolved with a Prediction
+  std::int64_t served = 0;    // requests that completed with a Prediction
   std::int64_t rejected = 0;  // sheds: OverloadError at submit()
-  std::int64_t failed = 0;    // futures that resolved with an exception
+  std::int64_t failed = 0;    // requests that completed with an error
   LatencySnapshot latency;    // completion − scheduled arrival, microseconds
 };
 
@@ -96,7 +99,7 @@ struct SocketTransport {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   /// Concurrent client connections (>= 1). Each connection pipelines its share
-  /// of the schedule and harvests responses on its own thread.
+  /// of the schedule and receives its replies on its own thread.
   int connections = 2;
 
   /// Reject malformed configs with a descriptive std::invalid_argument.
@@ -148,7 +151,21 @@ class LoadGenerator {
   LoadReport run_socket(const SocketTransport& transport, const tensor::Tensor& image);
 
  private:
+  /// Outcome of one scheduled request, indexed by schedule position. Written
+  /// once by whichever thread finishes the request, read once all are done.
+  struct Record {
+    enum class Outcome : std::uint8_t { kPending, kServed, kRejected, kFailed };
+    Outcome outcome = Outcome::kPending;
+    std::chrono::steady_clock::time_point completion{};
+  };
+
   void build_schedule();
+  /// Sleep until request `i`'s scheduled send time, `t0` being time zero.
+  void sleep_until_due(std::chrono::steady_clock::time_point t0, std::size_t i) const;
+  /// Fold one run's records into its report; latency is completion −
+  /// scheduled arrival.
+  LoadReport report(const std::vector<Record>& records,
+                    std::chrono::steady_clock::time_point t0) const;
 
   InferenceEngine& engine_;
   LoadConfig config_;

@@ -13,9 +13,8 @@
 // build with zero extra tooling.
 //
 // Lock *classes*, not instances: every DebugMutex constructed with the same
-// class name (via BLURNET_LOCK_CLASS) shares one node in the graph, so one
-// connection's inbox mutex proving "connection before zombies" applies to
-// every connection. A DebugMutex constructed without a name gets a private
+// class name (via BLURNET_LOCK_CLASS) shares one node in the graph, so an
+// order one connection's mutex records applies to every connection. A DebugMutex constructed without a name gets a private
 // per-instance class.
 //
 // Semantics:

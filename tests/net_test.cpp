@@ -6,7 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
-#include <future>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -496,12 +496,153 @@ TEST(Server, OverloadComesBackAsOverloadError) {
   server.stop();
 }
 
-TEST(Server, RejectsUnboundedBlockingEngine) {
+TEST(Server, UnboundedBlockAdmissionParksAndStopStaysBounded) {
+  // kBlock with no block timeout: a parked request waits for space as long as
+  // it takes, yet stop() is still bounded by the drain deadline.
   serve::EngineConfig config = small_engine_config();
+  config.queue_capacity = 1;
   config.overload_policy = serve::OverloadPolicy::kBlock;
-  config.block_timeout_ms = 0;  // engine-legal, but a submitter could block forever
+  config.block_timeout_ms = 0;
   serve::InferenceEngine engine(config);
-  EXPECT_THROW(Server(engine, {}), std::invalid_argument);
+  auto gate = std::make_shared<GateTransform>();
+  engine.register_pipeline_variant("gated", gate);
+  ServerConfig server_config;
+  server_config.drain_timeout_ms = 150;
+  Server server(engine, server_config);
+  Client client("127.0.0.1", server.port());
+
+  const auto batch = random_batch(3, 73);
+  client.send_classify(single_image(batch, 0), "gated");
+  gate->wait_entered(1);
+  client.send_classify(single_image(batch, 1), "gated");
+  while (engine.variant_stats("gated").queue_depth < 1) std::this_thread::yield();
+  client.send_classify(single_image(batch, 2), "gated");
+  while (engine.variant_stats("gated").blocked < 1) std::this_thread::yield();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  const auto elapsed =
+      std::chrono::duration_cast<std::chrono::milliseconds>(std::chrono::steady_clock::now() - t0);
+  EXPECT_GE(elapsed.count(), 100);
+  EXPECT_LT(elapsed.count(), 5000) << "stop() should be bounded by drain_timeout_ms";
+  gate->open();  // unwedge the engine worker so its destructor can join
+}
+
+TEST(Server, ParkedRequestCountsOnceInBlocked) {
+  serve::EngineConfig config = small_engine_config();
+  config.queue_capacity = 1;
+  config.overload_policy = serve::OverloadPolicy::kBlock;
+  serve::InferenceEngine engine(config);
+  auto gate = std::make_shared<GateTransform>();
+  engine.register_pipeline_variant("gated", gate);
+  Server server(engine, {});
+  Client blocked("127.0.0.1", server.port());
+
+  const auto batch = random_batch(3, 79);
+  std::vector<std::uint32_t> ids;
+  ids.push_back(blocked.send_classify(single_image(batch, 0), "gated"));
+  gate->wait_entered(1);
+  ids.push_back(blocked.send_classify(single_image(batch, 1), "gated"));
+  while (engine.variant_stats("gated").queue_depth < 1) std::this_thread::yield();
+  ids.push_back(blocked.send_classify(single_image(batch, 2), "gated"));
+  while (engine.variant_stats("gated").blocked < 1) std::this_thread::yield();
+
+  // Every loop wake retries the parked request; none of the retries counts.
+  Client probe("127.0.0.1", server.port());
+  for (int i = 0; i < 20; ++i) probe.ping();
+  EXPECT_EQ(engine.variant_stats("gated").blocked, 1);
+
+  gate->open();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    expect_bitwise_equal(blocked.receive_classify(ids[i]),
+                         engine.classify(single_image(batch, static_cast<std::int64_t>(i)),
+                                         serve::Options{"gated"})[0],
+                         "parked-admission image " + std::to_string(i));
+  }
+  const serve::VariantStats stats = engine.variant_stats("gated");
+  EXPECT_EQ(stats.blocked, 1);
+  EXPECT_EQ(stats.rejected, 0);
+  server.stop();
+}
+
+TEST(Server, FastVariantReplyOvertakesGatedReplyOnOneConnection) {
+  serve::InferenceEngine engine(small_engine_config());
+  auto gate = std::make_shared<GateTransform>();
+  engine.register_pipeline_variant("gated", gate);
+  Server server(engine, {});
+  Client client("127.0.0.1", server.port());
+
+  const auto batch = random_batch(2, 83);
+  const std::uint32_t slow = client.send_classify(single_image(batch, 0), "gated");
+  gate->wait_entered(1);
+  const std::uint32_t fast = client.send_classify(single_image(batch, 1));
+  // Replies travel in completion order: the base reply arrives while the
+  // earlier gated request is still held.
+  expect_bitwise_equal(client.receive_classify(fast), engine.classify(single_image(batch, 1))[0],
+                       "fast reply");
+  gate->open();
+  expect_bitwise_equal(client.receive_classify(slow),
+                       engine.classify(single_image(batch, 0), serve::Options{"gated"})[0],
+                       "gated reply");
+  server.stop();
+}
+
+TEST(Server, DestroyedServerLeavesLateCompletionsSafe) {
+  // A request stuck past the drain deadline is abandoned, and its completion
+  // fires only after the Server is gone: it must touch no freed server state
+  // (the ASan and TSan jobs run this test).
+  serve::InferenceEngine engine(small_engine_config());
+  auto gate = std::make_shared<GateTransform>();
+  engine.register_pipeline_variant("gated", gate);
+  const auto batch = random_batch(3, 89);
+  {
+    ServerConfig config;
+    config.drain_timeout_ms = 20;
+    Server server(engine, config);
+    Client client("127.0.0.1", server.port());
+    client.send_classify(single_image(batch, 0), "gated");
+    gate->wait_entered(1);
+    client.send_classify_batch(batch, "gated");
+    // The batch's three images are admitted behind the gated one.
+    while (engine.variant_stats("gated").queue_depth < 3) std::this_thread::yield();
+  }
+  gate->open();
+  // Every gated image completes (4 of them) after the server was destroyed.
+  while (engine.variant_stats("gated").latency.count < 4) std::this_thread::yield();
+}
+
+int thread_count() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Server, ThreadCountDoesNotDependOnConnectionCount) {
+  if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "needs /proc/self/task";
+  serve::InferenceEngine engine(small_engine_config(2));
+  Server server(engine, {});
+  const auto image = single_image(random_batch(1, 97), 0);
+  const auto warm_every_variant = [&](std::vector<std::unique_ptr<Client>>& clients) {
+    for (auto& client : clients) {
+      for (const auto& variant : engine.variant_names()) client->classify(image, variant);
+      client->ping();
+    }
+  };
+
+  std::vector<std::unique_ptr<Client>> clients;
+  clients.push_back(std::make_unique<Client>("127.0.0.1", server.port()));
+  warm_every_variant(clients);
+  const int with_one = thread_count();
+
+  while (clients.size() < 16) {
+    clients.push_back(std::make_unique<Client>("127.0.0.1", server.port()));
+  }
+  warm_every_variant(clients);
+  EXPECT_EQ(server.stats().open_connections, 16);
+  EXPECT_EQ(thread_count(), with_one) << "blurnetd threads grew with its connections";
+  server.stop();
 }
 
 TEST(Server, EventLoopStaysResponsiveWhileBlockAdmissionWaits) {
@@ -526,8 +667,8 @@ TEST(Server, EventLoopStaysResponsiveWhileBlockAdmissionWaits) {
   ids.push_back(blocked.send_classify(single_image(batch, 2), "gated"));
   while (engine.variant_stats("gated").blocked < 1) std::this_thread::yield();
 
-  // The blocked submit() stalls only its own connection's submitter thread;
-  // the event loop must keep serving other connections meanwhile.
+  // The parked request stalls only its own connection; the event loop must
+  // keep serving other connections meanwhile.
   Client probe("127.0.0.1", server.port());
   const auto t0 = std::chrono::steady_clock::now();
   probe.ping();

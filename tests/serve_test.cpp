@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -963,6 +964,198 @@ TEST(Engine, SubmitIsBitwiseDeterministicAcrossQueueCapacities) {
                                  std::to_string(replicas) + " image " + std::to_string(i));
       }
     }
+  }
+}
+
+// ---- completion callbacks ---------------------------------------------------
+
+/// Preprocess stage that always fails: the error path of a replica forward.
+class ThrowingTransform : public defense::InputTransform {
+ public:
+  ThrowingTransform() : InputTransform(defense::TransformSpec::none(), "throwing") {}
+
+  tensor::Tensor apply(const tensor::Tensor&) const override {
+    throw std::runtime_error("transform exploded");
+  }
+};
+
+/// Records every completion it hands out, in completion order; wait_for(n)
+/// blocks until n have run.
+struct CompletionProbe {
+  std::mutex mutex;
+  std::condition_variable cv;
+  int calls = 0;
+  std::vector<std::exception_ptr> errors;
+  std::vector<Prediction> predictions;
+
+  Completion make() {
+    return [this](Prediction prediction, std::exception_ptr error) {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++calls;
+      errors.push_back(error);
+      predictions.push_back(std::move(prediction));
+      cv.notify_all();
+    };
+  }
+  void wait_for(int n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return calls >= n; });
+  }
+};
+
+TEST(Engine, CompletionRunsOnceOnAWorkerAfterStatsAndLatency) {
+  InferenceEngine engine(small_engine_config());
+  auto gate = std::make_shared<GateTransform>();
+  engine.register_pipeline_variant("gated", gate);
+  const auto batch = random_batch(2, 101);
+  const Options options{"gated"};
+
+  // The completion snapshots the engine from inside itself: it runs with no
+  // engine lock held, after its request is counted and timed.
+  std::mutex mutex;
+  std::vector<std::thread::id> threads;
+  std::vector<std::int64_t> requests_seen, latency_seen;
+  std::atomic<int> calls{0};
+  const auto completion = [&](Prediction prediction, std::exception_ptr error) {
+    EXPECT_FALSE(error);
+    EXPECT_GE(prediction.label, 0);
+    const VariantStats stats = engine.variant_stats("gated");
+    std::lock_guard<std::mutex> lock(mutex);
+    threads.push_back(std::this_thread::get_id());
+    requests_seen.push_back(stats.replicas[0].requests);
+    latency_seen.push_back(stats.latency.count);
+    ++calls;
+  };
+  engine.submit(single_image(batch, 0), options, completion);
+  gate->wait_entered(1);  // the worker holds the first request inside the gate
+  EXPECT_TRUE(engine.try_submit(single_image(batch, 1), options, completion));
+  // Neither submit nor try_submit ran its completion on the caller.
+  EXPECT_EQ(calls.load(), 0);
+
+  gate->open();
+  while (calls.load() < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(calls.load(), 2) << "a completion ran more than once";
+  std::lock_guard<std::mutex> lock(mutex);
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    EXPECT_NE(threads[i], std::this_thread::get_id()) << "completion " << i;
+    // Request k's completion sees at least k + 1 requests served and timed.
+    EXPECT_GE(requests_seen[i], static_cast<std::int64_t>(i) + 1);
+    EXPECT_GE(latency_seen[i], static_cast<std::int64_t>(i) + 1);
+  }
+}
+
+TEST(Engine, CompletionReceivesTheForwardsException) {
+  InferenceEngine engine(small_engine_config());
+  engine.register_pipeline_variant("throwing", std::make_shared<ThrowingTransform>());
+  const auto image = single_image(random_batch(1, 103), 0);
+
+  CompletionProbe probe;
+  engine.submit(image, Options{"throwing"}, probe.make());
+  probe.wait_for(1);
+  ASSERT_TRUE(probe.errors[0]);
+  EXPECT_TRUE(probe.predictions[0].logits.empty());
+  try {
+    std::rethrow_exception(probe.errors[0]);
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("transform exploded"), std::string::npos) << e.what();
+  }
+  // The future wrapper delivers the same exception.
+  auto future = engine.submit(image, Options{"throwing"});
+  EXPECT_THROW(future.get(), std::runtime_error);
+}
+
+TEST(Engine, CompletionResultsMatchTheFuturePathAcrossReplicaCounts) {
+  const auto batch = random_batch(12, 107);
+  for (const int replicas : {1, 2, 4}) {
+    InferenceEngine engine(small_engine_config(replicas));
+    CompletionProbe probe;
+    std::vector<std::future<Prediction>> futures;
+    for (std::int64_t i = 0; i < batch.dim(0); ++i) {
+      engine.submit(single_image(batch, i), Options{kDefendedVariant}, probe.make());
+      futures.push_back(engine.submit(single_image(batch, i), Options{kDefendedVariant}));
+    }
+    probe.wait_for(static_cast<int>(batch.dim(0)));
+    // Completions arrive in completion order; match them back by content.
+    const auto expected = engine.classify(batch, Options{kDefendedVariant});
+    std::vector<bool> matched(expected.size(), false);
+    for (const auto& prediction : probe.predictions) {
+      bool found = false;
+      for (std::size_t i = 0; i < expected.size() && !found; ++i) {
+        if (!matched[i] && prediction.logits == expected[i].logits) matched[i] = found = true;
+      }
+      EXPECT_TRUE(found) << "replicas " << replicas << ": callback result matches no image";
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      expect_bitwise_equal(futures[i].get(), expected[i],
+                           "replicas " + std::to_string(replicas) + " image " + std::to_string(i));
+    }
+  }
+}
+
+TEST(Engine, RefusedTrySubmitUnderRejectCountsOnceAndNeverCompletes) {
+  EngineConfig config = small_engine_config();
+  config.queue_capacity = 1;
+  config.overload_policy = OverloadPolicy::kReject;
+  InferenceEngine engine(config);
+  auto gate = std::make_shared<GateTransform>();
+  engine.register_pipeline_variant("gated", gate);
+  const auto batch = random_batch(3, 109);
+  const Options options{"gated"};
+
+  CompletionProbe probe;
+  ASSERT_TRUE(engine.try_submit(single_image(batch, 0), options, probe.make()));
+  gate->wait_entered(1);
+  ASSERT_TRUE(engine.try_submit(single_image(batch, 1), options, probe.make()));  // fills it
+  EXPECT_FALSE(engine.try_submit(single_image(batch, 2), options, probe.make()));
+  VariantStats stats = engine.variant_stats("gated");
+  EXPECT_EQ(stats.rejected, 1);
+  EXPECT_EQ(stats.blocked, 0);
+
+  gate->open();
+  probe.wait_for(2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(probe.calls, 2) << "the refused request's completion ran";
+  stats = engine.variant_stats("gated");
+  EXPECT_EQ(stats.rejected, 1);
+  EXPECT_EQ(stats.latency.count, 2);
+}
+
+TEST(Engine, ParkedTrySubmitUnderBlockCountsOnceInBlocked) {
+  // The event-loop pattern: a refused request is parked by the caller and
+  // retried with retry = true until the shard has space.
+  EngineConfig config = small_engine_config();
+  config.queue_capacity = 1;
+  config.overload_policy = OverloadPolicy::kBlock;
+  InferenceEngine engine(config);
+  auto gate = std::make_shared<GateTransform>();
+  engine.register_pipeline_variant("gated", gate);
+  const auto batch = random_batch(3, 113);
+  const Options options{"gated"};
+
+  CompletionProbe probe;
+  ASSERT_TRUE(engine.try_submit(single_image(batch, 0), options, probe.make()));
+  gate->wait_entered(1);
+  ASSERT_TRUE(engine.try_submit(single_image(batch, 1), options, probe.make()));
+  EXPECT_FALSE(engine.try_submit(single_image(batch, 2), options, probe.make()));
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    EXPECT_FALSE(engine.try_submit(single_image(batch, 2), options, probe.make(), true));
+  }
+  EXPECT_EQ(engine.variant_stats("gated").blocked, 1);
+
+  gate->open();
+  while (!engine.try_submit(single_image(batch, 2), options, probe.make(), true)) {
+    std::this_thread::yield();
+  }
+  probe.wait_for(3);
+  const VariantStats stats = engine.variant_stats("gated");
+  EXPECT_EQ(stats.blocked, 1);
+  EXPECT_EQ(stats.rejected, 0);
+  const auto expected = engine.classify(batch, options);
+  for (std::size_t i = 0; i < 3; ++i) {
+    bool found = false;
+    for (const auto& prediction : probe.predictions) found |= prediction.logits == expected[i].logits;
+    EXPECT_TRUE(found) << "image " << i;
   }
 }
 

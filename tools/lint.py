@@ -20,6 +20,9 @@ linters cannot express:
                       engine teardown).
   naked-new           no naked new/delete in src/serve + src/net — ownership
                       goes through containers and smart pointers.
+  no-future           no std::future / <future> in src/net — the server admits
+                      with try_submit() and finishes each request in its
+                      engine completion; no thread parks on a future.
   simd-confinement    raw SIMD intrinsics (_mm*/vfmaq_* calls, immintrin.h /
                       arm_neon.h includes) live only in the per-ISA kernel
                       translation units (*_kernels_avx2.cpp, *_kernels_neon.cpp)
@@ -46,6 +49,7 @@ REPO = Path(__file__).resolve().parent.parent
 DETERMINISTIC_DIRS = ["src/attack", "src/serve", "src/linalg", "src/tensor"]
 OWNERSHIP_DIRS = ["src/serve", "src/net"]
 DECODE_DIRS = ["src/net"]
+CALLBACK_DIRS = ["src/net"]
 
 # How many stripped lines above a reserve() may hold its bounds check.
 RESERVE_WINDOW = 8
@@ -240,6 +244,12 @@ BANNED = [
         re.compile(r"(?<![\w:])delete(\s*\[\s*\])?\s+[A-Za-z_*(]"),
         "naked delete — ownership goes through smart pointers",
     ),
+    (
+        "no-future",
+        CALLBACK_DIRS,
+        re.compile(r"\bstd::(shared_)?future\b|#\s*include\s*<future>"),
+        "std::future — admit with try_submit() and finish in the engine completion",
+    ),
 ]
 
 
@@ -412,6 +422,19 @@ SELF_TESTS = [
         "src/serve/bad3.cpp",
         "void f(Widget* w) { delete w; }\n",
         "naked-new",
+    ),
+    (
+        "future-in-net",
+        "src/net/bad4.cpp",
+        "#include <future>\nstd::future<Prediction> f();\n",
+        "no-future",
+    ),
+    (
+        "completion-in-net-is-clean",
+        "src/net/good4.cpp",
+        "// replies never wait on a std::future\n"
+        "bool f(serve::Completion done) { return engine.try_submit(x, {}, done); }\n",
+        None,
     ),
     (
         "comment-mention-is-clean",
