@@ -30,10 +30,12 @@ int main() {
   // wrap — weight-transfer variants of the harness engine.
   std::vector<std::string> victims;
   for (const auto& row : rows) {
-    nn::LisaCnnConfig config = env.harness.engine().model().config();
-    config.fixed_filter = {row.placement, row.placement == nn::FilterPlacement::kNone ? 0 : 5,
-                           signal::KernelKind::kBox};
-    env.harness.add_variant_victim(row.label, config);
+    serve::VariantSpec variant;
+    variant.config = env.harness.engine().model().config();
+    variant.config->fixed_filter = {row.placement,
+                                    row.placement == nn::FilterPlacement::kNone ? 0 : 5,
+                                    signal::KernelKind::kBox};
+    env.harness.add_victim(row.label, std::move(variant));
     victims.push_back(row.label);
   }
   env.harness.adopt_variant(serve::kBaseVariant);

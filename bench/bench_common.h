@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "src/defense/model_zoo.h"
 #include "src/eval/harness.h"
@@ -58,13 +59,13 @@ struct EvalEnv {
   /// a second, identical replica set.
   void add_zoo_victim(const std::string& zoo_name, const eval::VictimSpec& spec = {},
                       const std::string& victim = "") {
-    const std::string name = victim.empty() ? zoo_name : victim;
-    if (zoo_name == base_variant_ && spec.replicas == 0) {
-      harness.engine().alias_variant(name, serve::kBaseVariant);
-      harness.adopt_variant(name, spec);
+    serve::VariantSpec variant;
+    if (zoo_name == base_variant_) {
+      variant.alias_of = serve::kBaseVariant;
     } else {
-      harness.add_victim(name, zoo.get(zoo_name), spec);
+      variant.model = &zoo.get(zoo_name);
     }
+    harness.add_victim(victim.empty() ? zoo_name : victim, std::move(variant), spec);
   }
 
   /// Register an input-transform defense (a defense::ModelZoo
@@ -75,8 +76,9 @@ struct EvalEnv {
   /// with BPDA straight-through gradients.
   void add_transform_victim(const std::string& zoo_name, const eval::VictimSpec& spec = {},
                             const std::string& victim = "") {
-    const std::string name = victim.empty() ? zoo_name : victim;
-    harness.add_transform_victim(name, defense::ModelZoo::transform_spec(zoo_name), spec);
+    serve::VariantSpec variant;
+    variant.transform = defense::make_transform(defense::ModelZoo::transform_spec(zoo_name));
+    harness.add_victim(victim.empty() ? zoo_name : victim, std::move(variant), spec);
   }
 
   /// Clean test-set accuracy of a victim through the batched serving path.

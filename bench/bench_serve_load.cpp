@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -102,7 +103,9 @@ int main() {
   config.queue_capacity = queue_cap;
   config.overload_policy = policy;
   serve::InferenceEngine engine(config);
-  engine.register_transform_variant("squeeze4", defense::TransformSpec::squeeze(4));
+  serve::VariantSpec squeeze4;
+  squeeze4.transform = defense::make_transform(defense::TransformSpec::squeeze(4));
+  engine.register_variant("squeeze4", std::move(squeeze4));
 
   util::Rng rng(99);
   const tensor::Tensor image =
@@ -148,8 +151,7 @@ int main() {
     load.requests = requests;
     load.seed = static_cast<std::uint64_t>(seed);
     load.mix = {{serve::kBaseVariant, 2.0}, {serve::kDefendedVariant, 1.0}, {"squeeze4", 1.0}};
-    serve::LoadGenerator generator(engine, load);
-    const serve::LoadReport report = generator.run(image);
+    const serve::LoadReport report = serve::LoadGenerator(load).run(engine, image);
     saturation_rps = std::max(saturation_rps, report.achieved_rps);
     std::printf("%-10.2f %10.1f %10.1f %9lld %9lld %10.2f %10.2f %10.2f\n", fractions[f],
                 report.offered_rps, report.achieved_rps,

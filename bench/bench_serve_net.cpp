@@ -131,8 +131,7 @@ int main() {
     load.requests = requests;
     load.seed = static_cast<std::uint64_t>(seed);
     load.mix = {{serve::kBaseVariant, 2.0}, {serve::kDefendedVariant, 1.0}};
-    serve::LoadGenerator generator(engine, load);
-    const serve::LoadReport report = generator.run_socket(transport, image);
+    const serve::LoadReport report = serve::LoadGenerator(load).run(transport, image);
     saturation_rps = std::max(saturation_rps, report.achieved_rps);
     std::printf("%-10.2f %10.1f %10.1f %9lld %9lld %9lld %10.2f %10.2f %10.2f\n", fractions[f],
                 report.offered_rps, report.achieved_rps,

@@ -37,9 +37,10 @@ int main() {
   std::vector<std::string> victims;
   std::vector<std::string> labels;
   for (const auto& row : rows) {
-    nn::LisaCnnConfig variant_config = env.harness.engine().model().config();
-    variant_config.fixed_filter = row.defense;
-    env.harness.add_variant_victim(row.name, variant_config);
+    serve::VariantSpec variant;
+    variant.config = env.harness.engine().model().config();
+    variant.config->fixed_filter = row.defense;
+    env.harness.add_victim(row.name, std::move(variant));
     victims.push_back(row.name);
     labels.push_back(row.name);
   }

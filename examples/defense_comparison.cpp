@@ -5,6 +5,7 @@
 //   ./examples/defense_comparison [--variants a,b,c] [--images N] [--targets N]
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "src/defense/blurnet.h"
 #include "src/eval/harness.h"
@@ -52,14 +53,15 @@ int main(int argc, char** argv) {
 
   util::Table table({"Variant", "Legit Acc.", "Avg ASR", "Worst ASR", "L2 Dissim"});
   for (const auto& name : variants) {
+    serve::VariantSpec variant;
     if (name == base_name) {
       // The engine already serves these weights as "base": alias, don't
       // deep-clone a second replica set.
-      harness.engine().alias_variant(name, serve::kBaseVariant);
-      harness.adopt_variant(name);
+      variant.alias_of = serve::kBaseVariant;
     } else {
-      harness.add_victim(name, zoo.get(name));
+      variant.model = &zoo.get(name);
     }
+    harness.add_victim(name, std::move(variant));
     const double acc = harness.dataset_accuracy(name, zoo.dataset().test);
     const auto sweep = protocol.run(harness, name, acc, stop_set);
     table.add_row({name, util::Table::pct(sweep.legit_accuracy),

@@ -81,7 +81,9 @@ int main(int argc, char** argv) {
 
   eval::Harness harness(engine);
   harness.adopt_variant(serve::kBaseVariant);
-  harness.add_victim("blurnet-tv", defended);
+  serve::VariantSpec blurnet_tv;
+  blurnet_tv.model = &defended;
+  harness.add_victim("blurnet-tv", std::move(blurnet_tv));
 
   std::printf("\nRP2 sticker attack (%d targets, %d iterations):\n", scale.num_targets,
               scale.rp2_iterations);

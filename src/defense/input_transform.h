@@ -63,7 +63,7 @@ class InputTransform {
   const std::string& name() const { return name_; }
 
   /// Virtual so custom preprocess stages can be injected into the serving
-  /// pipeline (InferenceEngine::register_pipeline_variant) — the load tests
+  /// pipeline (serve::VariantSpec::transform) — the load tests
   /// use a gate transform that blocks here to fill queues deterministically.
   /// Overrides must keep the contract above: same shape, deterministic,
   /// per-image, thread-safe.

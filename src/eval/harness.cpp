@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "src/attack/masks.h"
 #include "src/attack/rp2.h"
@@ -45,22 +46,9 @@ void Harness::add_entry(const std::string& name, const VictimSpec& spec) {
   victims_.push_back(Victim{name, spec.smoothing});
 }
 
-void Harness::add_victim(const std::string& name, const nn::LisaCnn& model,
+void Harness::add_victim(const std::string& name, serve::VariantSpec variant,
                          const VictimSpec& spec) {
-  engine_->register_model(name, model, spec.replicas);
-  add_entry(name, spec);
-}
-
-void Harness::add_variant_victim(const std::string& name, const nn::LisaCnnConfig& config,
-                                 const VictimSpec& spec) {
-  engine_->register_variant(name, config, spec.replicas);
-  add_entry(name, spec);
-}
-
-void Harness::add_transform_victim(const std::string& name,
-                                   const defense::TransformSpec& transform,
-                                   const VictimSpec& spec) {
-  engine_->register_transform_variant(name, transform, spec.replicas);
+  engine_->register_variant(name, std::move(variant));
   add_entry(name, spec);
 }
 
@@ -123,7 +111,7 @@ std::vector<int> Harness::predict(const std::string& victim, const Tensor& image
   if (entry.smoothing) {
     return defense::smoothed_predict(
         [this, &entry](const Tensor& samples) { return classify_labels(entry.name, samples); },
-        engine_->variant(entry.name).config().num_classes, batch, *entry.smoothing);
+        engine_->replica_model(entry.name, 0).config().num_classes, batch, *entry.smoothing);
   }
   return classify_labels(entry.name, batch);
 }

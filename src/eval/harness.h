@@ -4,10 +4,11 @@
 //
 //   * eval::Harness owns (or borrows) an InferenceEngine and a registry of
 //     **victims** — named engine variants plus per-victim prediction policy
-//     (e.g. randomized smoothing). Victims can be independently trained
-//     models (add_victim -> serve::InferenceEngine::register_model) or
-//     weight-transfer variants of the engine's base model
-//     (add_variant_victim / adopt_variant).
+//     (e.g. randomized smoothing). add_victim registers any serve::VariantSpec
+//     (an independently trained model, a weight-transfer variant of the
+//     engine's base model, an input-transform defense, an alias) through
+//     serve::InferenceEngine::register_variant; adopt_variant marks an
+//     already-registered variant as a victim.
 //   * Protocol objects (WhiteboxSweep, TransferMatrix, AdaptiveSweep) submit
 //     every clean/adversarial classification batch through
 //     classify(images, Options{variant}) and run their crafting through the
@@ -42,11 +43,8 @@
 
 namespace blurnet::eval {
 
-/// Per-victim registration knobs.
+/// Per-victim prediction policy (the variant itself is a serve::VariantSpec).
 struct VictimSpec {
-  /// Serving replicas for the victim's engine variant (0 = engine default).
-  /// Ignored by adopt_variant(), which reuses the existing shard.
-  int replicas = 0;
   /// Monte-Carlo randomized smoothing applied at prediction time (the
   /// paper's "Rand. sm" rows). The noisy sample batches are classified
   /// through the engine variant like any other evaluation traffic. Crafting
@@ -71,21 +69,11 @@ class Harness {
   serve::InferenceEngine& engine() { return *engine_; }
   const serve::InferenceEngine& engine() const { return *engine_; }
 
-  /// Register an independently trained model as engine variant `name` (deep
-  /// weight clones on every replica) and as a victim.
-  void add_victim(const std::string& name, const nn::LisaCnn& model,
+  /// Register engine variant `name` from `variant` and mark it a victim. A
+  /// victim with a preprocess stage exposes it through victim_handle(), so
+  /// RP2/PGD craft against it with BPDA straight-through gradients by default.
+  void add_victim(const std::string& name, serve::VariantSpec variant,
                   const VictimSpec& spec = {});
-  /// Register a weight-transfer variant of the engine's base model (Table I
-  /// protocol: `config`'s architecture serving the base weights) as a victim.
-  void add_variant_victim(const std::string& name, const nn::LisaCnnConfig& config,
-                          const VictimSpec& spec = {});
-  /// Register an input-transform defense over the engine's base weights
-  /// (serve::InferenceEngine::register_transform_variant — the
-  /// preprocess→forward pipeline) as a victim. victim_handle() exposes the
-  /// transform, so RP2/PGD craft against it with BPDA straight-through
-  /// gradients by default.
-  void add_transform_victim(const std::string& name, const defense::TransformSpec& transform,
-                            const VictimSpec& spec = {});
   /// Mark an already-registered engine variant (e.g. "base" or "defended")
   /// as a victim.
   void adopt_variant(const std::string& name, const VictimSpec& spec = {});

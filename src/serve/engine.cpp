@@ -107,17 +107,18 @@ InferenceEngine::InferenceEngine(nn::LisaCnn model, nn::FixedFilterSpec defense,
       config_{model_.config(), defense, max_batch, replicas, queue_capacity, overload_policy,
               block_timeout_ms} {
   config_.validate();
-  register_variant_locked(kBaseVariant, model_.config(), config_.replicas);
+  register_variant(kBaseVariant, {});
   defense_enabled_ = defense.placement != nn::FilterPlacement::kNone && defense.kernel > 0;
+  VariantSpec defended;
   if (defense_enabled_) {
-    nn::LisaCnnConfig defended = model_.config();
-    defended.fixed_filter = defense;
-    register_variant_locked(kDefendedVariant, defended, config_.replicas);
+    defended.config = model_.config();
+    defended.config->fixed_filter = defense;
   } else {
     // No filter to wrap: serve "defended" from the base shard instead of
     // cloning a second, identical set of replicas.
-    aliases_.emplace_back(kDefendedVariant, shards_.front().get());
+    defended.alias_of = kBaseVariant;
   }
+  register_variant(kDefendedVariant, std::move(defended));
 }
 
 InferenceEngine::~InferenceEngine() {
@@ -137,102 +138,48 @@ InferenceEngine::~InferenceEngine() {
   }
 }
 
-void InferenceEngine::register_shard_locked(const std::string& name,
-                                            const nn::LisaCnn& source,
-                                            const nn::LisaCnnConfig& config, int replicas,
-                                            bool from_base,
-                                            defense::TransformPtr transform) {
+void InferenceEngine::register_variant(const std::string& name, VariantSpec spec) {
+  const auto reject = [&name](const std::string& why) {
+    throw std::invalid_argument("register_variant: variant \"" + name + "\" " + why);
+  };
   if (name.empty()) throw std::invalid_argument("register_variant: name must be non-empty");
-  if (find_shard_locked(name) != nullptr) {
-    throw std::invalid_argument("register_variant: variant \"" + name +
-                                "\" is already registered");
+  const bool alias = !spec.alias_of.empty();
+  if (int{spec.config.has_value()} + int{spec.model != nullptr} + int{alias} > 1) {
+    reject("sets more than one weight source (config, model, alias_of)");
   }
+  if (alias && (spec.transform || spec.replicas != 0)) {
+    reject("aliases \"" + spec.alias_of + "\" and so takes no transform or replicas");
+  }
+  if (spec.replicas < 0) reject("asks for " + std::to_string(spec.replicas) + " replicas");
+  const nn::LisaCnn& source = spec.model ? *spec.model : model_;
+  const nn::LisaCnnConfig config = std::move(spec.config).value_or(source.config());
   if (config.in_channels != model_.config().in_channels ||
       config.image_size != model_.config().image_size) {
-    throw std::invalid_argument("register_variant: variant \"" + name +
-                                "\" input shape does not match the base model");
+    reject("input shape does not match the base model");
   }
-  if (replicas == 0) replicas = config_.replicas;
-  if (replicas < 1) {
-    throw std::invalid_argument("register_variant: replicas must be >= 1 (got " +
-                                std::to_string(replicas) + ")");
+  std::lock_guard<util::DebugMutex> lock(shards_mutex_);
+  if (find_shard_locked(name) != nullptr) reject("is already registered");
+  if (alias) {
+    VariantShard* target = find_shard_locked(spec.alias_of);
+    if (target == nullptr) reject("aliases unknown variant \"" + spec.alias_of + "\"");
+    aliases_.emplace_back(name, target);
+    return;
   }
   auto shard = std::make_unique<VariantShard>();
   shard->name = name;
-  shard->config = config;
-  shard->from_base = from_base;
-  shard->transform = transform;
+  shard->from_base = spec.model == nullptr;
+  const int replicas = spec.replicas > 0 ? spec.replicas : config_.replicas;
   shard->replicas.reserve(static_cast<std::size_t>(replicas));
   for (int i = 0; i < replicas; ++i) {
-    shard->replicas.push_back(std::make_unique<Replica>(source, config, transform));
+    shard->replicas.push_back(std::make_unique<Replica>(source, config, spec.transform));
   }
   shards_.push_back(std::move(shard));
 }
 
-void InferenceEngine::register_variant_locked(const std::string& name,
-                                              const nn::LisaCnnConfig& config,
-                                              int replicas) {
-  register_shard_locked(name, model_, config, replicas, /*from_base=*/true);
-}
-
-void InferenceEngine::register_variant(const std::string& name,
-                                       const nn::LisaCnnConfig& config, int replicas) {
-  std::lock_guard<util::DebugMutex> lock(shards_mutex_);
-  register_variant_locked(name, config, replicas);
-}
-
-void InferenceEngine::register_model(const std::string& name, const nn::LisaCnn& source,
-                                     int replicas) {
-  std::lock_guard<util::DebugMutex> lock(shards_mutex_);
-  register_shard_locked(name, source, source.config(), replicas, /*from_base=*/false);
-}
-
-void InferenceEngine::register_transform_variant(const std::string& name,
-                                                 const defense::TransformSpec& spec,
-                                                 int replicas) {
-  // make_transform validates the spec and maps kNone to nullptr, so a kNone
-  // registration is exactly a plain weight-transfer variant of the base
-  // config — the transform-off path stays bitwise the bare forward path.
-  defense::TransformPtr transform = defense::make_transform(spec);
-  std::lock_guard<util::DebugMutex> lock(shards_mutex_);
-  register_shard_locked(name, model_, model_.config(), replicas, /*from_base=*/true,
-                        std::move(transform));
-}
-
-void InferenceEngine::register_pipeline_variant(const std::string& name,
-                                                defense::TransformPtr transform,
-                                                int replicas) {
-  // The stage is taken as-built (any InputTransform subclass); weights still
-  // transfer from the base model, so refresh_variant() works as usual.
-  std::lock_guard<util::DebugMutex> lock(shards_mutex_);
-  register_shard_locked(name, model_, model_.config(), replicas, /*from_base=*/true,
-                        std::move(transform));
-}
-
-void InferenceEngine::register_transform_model(const std::string& name,
-                                               const nn::LisaCnn& source,
-                                               const defense::TransformSpec& spec,
-                                               int replicas) {
-  defense::TransformPtr transform = defense::make_transform(spec);
-  std::lock_guard<util::DebugMutex> lock(shards_mutex_);
-  register_shard_locked(name, source, source.config(), replicas, /*from_base=*/false,
-                        std::move(transform));
-}
-
-void InferenceEngine::alias_variant(const std::string& name, const std::string& existing) {
-  std::lock_guard<util::DebugMutex> lock(shards_mutex_);
-  if (name.empty()) throw std::invalid_argument("alias_variant: name must be non-empty");
-  if (find_shard_locked(name) != nullptr) {
-    throw std::invalid_argument("alias_variant: variant \"" + name +
-                                "\" is already registered");
-  }
-  aliases_.emplace_back(name, &require_shard_locked(existing));
-}
-
 std::string InferenceEngine::shard_kind(const VariantShard& shard) {
   std::string kind = shard.from_base ? "weight-transfer" : "foreign-model";
-  if (shard.transform) {
-    kind = "transform-wrapped " + kind + " (" + shard.transform->name() + ")";
+  if (const auto& transform = shard.replicas.front()->transform()) {
+    kind = "transform-wrapped " + kind + " (" + transform->name() + ")";
   }
   return kind;
 }
@@ -244,7 +191,7 @@ void InferenceEngine::refresh_variant(const std::string& name) {
                            shard_kind(shard) +
                            " shard: it serves an independently trained model whose "
                            "weights do not come from the base model; re-register it "
-                           "(register_model / register_transform_model) instead");
+                           "through register_variant instead");
   }
   // Weight-transfer shards — transform-wrapped or not — re-copy the base
   // weights; the preprocess stage is immutable and kept as registered.
@@ -297,10 +244,6 @@ bool InferenceEngine::has_variant(const std::string& name) const {
   return find_shard_locked(name) != nullptr;
 }
 
-const nn::LisaCnn& InferenceEngine::variant(const std::string& name) const {
-  return require_shard(name).replicas.front()->model();
-}
-
 const nn::LisaCnn& InferenceEngine::replica_model(const std::string& name, int index) const {
   const VariantShard& shard = require_shard(name);
   if (index < 0 || static_cast<std::size_t>(index) >= shard.replicas.size()) {
@@ -317,11 +260,7 @@ int InferenceEngine::replica_count(const std::string& name) const {
 }
 
 defense::TransformPtr InferenceEngine::variant_transform(const std::string& name) const {
-  return require_shard(name).transform;
-}
-
-std::string InferenceEngine::variant_kind(const std::string& name) const {
-  return shard_kind(require_shard(name));
+  return require_shard(name).replicas.front()->transform();
 }
 
 Replica& InferenceEngine::route_locked(VariantShard& shard) const {
@@ -362,18 +301,6 @@ std::vector<Prediction> InferenceEngine::classify(const Tensor& images,
     ~CallGuard() { replica.end_call(); }
   } guard{*replica};
   return replica->run(batch, cap);
-}
-
-Tensor InferenceEngine::classify_logits(const Tensor& images, const Options& options) const {
-  const std::vector<Prediction> predictions = classify(images, options);
-  const std::int64_t n = static_cast<std::int64_t>(predictions.size());
-  const std::int64_t k = static_cast<std::int64_t>(predictions.front().logits.size());
-  Tensor out(Shape::mat(n, k));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto& logits = predictions[static_cast<std::size_t>(i)].logits;
-    std::copy(logits.begin(), logits.end(), out.data() + i * k);
-  }
-  return out;
 }
 
 void InferenceEngine::submit(Tensor image, Options options, Completion done) {

@@ -9,11 +9,15 @@
 //   * "defended" — the same weights wrapped in the deployed FixedFilterSpec
 //                  (identical to "base" when the defense is disabled),
 //
-// and arbitrary further variants — any LisaCnnConfig, e.g. other filter
-// placements/kernels or a learnable-depthwise architecture, mirroring the
-// ModelZoo variant names — can be added with register_variant(). A disabled
-// defense makes "defended" an alias of the base shard (same replicas, no
-// extra weight clones), so stats() then reports a single "base" entry.
+// and any further variant through the one registration call,
+// register_variant(name, VariantSpec). A VariantSpec names where the weights
+// come from — the base weights transferred into any LisaCnnConfig (other
+// filter placements/kernels, a learnable-depthwise architecture, mirroring
+// the ModelZoo variant names), an independently trained model, or an existing
+// variant to alias — plus an optional preprocess stage and a replica count.
+// A disabled defense makes "defended" an alias of the base shard (same
+// replicas, no extra weight clones), so stats() then reports a single "base"
+// entry.
 //
 // Every variant executes as an explicit two-stage pipeline:
 //
@@ -22,11 +26,11 @@
 //                forward slice before the model, and
 //   forward    — the replica's model forward.
 //
-// register_transform_variant() / register_transform_model() attach the
-// preprocess stage; plain variants skip it. Both stages run inside the
-// replica, so transformed variants inherit batching, replica sharding, the
-// coalescing submit() workers and the bitwise determinism contract below
-// unchanged.
+// VariantSpec::transform attaches the preprocess stage; nullptr (which is
+// what defense::make_transform returns for a kNone spec) skips it. Both
+// stages run inside the replica, so transformed variants inherit batching,
+// replica sharding, the coalescing submit() workers and the bitwise
+// determinism contract below unchanged.
 //
 // Two ways in, both routed by Options::variant:
 //
@@ -64,6 +68,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -130,6 +135,29 @@ struct EngineConfig {
   void validate() const;
 };
 
+/// Everything register_variant() needs to build a variant. At most one
+/// weight source may be set; none set means the base weights in the base
+/// architecture.
+struct VariantSpec {
+  /// Base-weight transfer (matching parameter names) into this architecture;
+  /// unset means the base config. Refreshable with refresh_variant().
+  std::optional<nn::LisaCnnConfig> config;
+  /// An independently trained model, deep-cloned into every replica at
+  /// registration (the caller's model need not outlive the call). Its
+  /// weights do not come from the base model, so refresh_variant() throws.
+  const nn::LisaCnn* model = nullptr;
+  /// An existing variant to alias: same shard, same replicas, no new clones.
+  /// An alias takes no transform and no replica count of its own.
+  std::string alias_of;
+  /// The preprocess stage; nullptr serves the bare forward. Stock stages come
+  /// from defense::make_transform(spec) (kNone maps to nullptr); any
+  /// InputTransform subclass honoring its contract (deterministic, per-image,
+  /// thread-safe, shape-preserving) may be injected.
+  defense::TransformPtr transform;
+  /// Serving replicas; 0 means EngineConfig::replicas.
+  int replicas = 0;
+};
+
 /// Per-request routing knobs.
 struct Options {
   std::string variant = kBaseVariant;
@@ -182,67 +210,42 @@ class InferenceEngine {
   nn::LisaCnn& model() { return model_; }
   const nn::LisaCnn& model() const { return model_; }
 
-  /// Register a named variant: `config`'s architecture serving the base
-  /// weights (matching-name transfer). `replicas` 0 means the engine default.
-  /// Throws std::invalid_argument if the name is empty or already taken.
-  void register_variant(const std::string& name, const nn::LisaCnnConfig& config,
-                        int replicas = 0);
-  /// Register an *independently trained* model as a variant: every replica
-  /// deep-clones `source`'s weights and architecture. Unlike
-  /// register_variant, nothing is transferred from the engine's base model,
-  /// so one engine can serve a whole zoo of differently-trained victims.
-  /// refresh_variant() on such a shard throws — re-register after retraining.
-  void register_model(const std::string& name, const nn::LisaCnn& source, int replicas = 0);
-  /// Register an input-transform variant: the base weights served behind the
-  /// preprocess stage `spec` describes (the two-stage pipeline above).
-  /// Weights transfer from the base model, so refresh_variant() works; the
-  /// transform itself is immutable. A kNone spec serves the bare forward
-  /// path — bitwise identical to register_variant of the base config.
+  /// Register `name` as `spec` describes. Throws std::invalid_argument,
+  /// naming the variant, if the name is empty or taken, the spec sets two
+  /// weight sources or negative replicas, an alias names an unknown variant
+  /// or sets a transform or replicas, or the weights expect another input
+  /// shape than the base model.
+  void register_variant(const std::string& name, VariantSpec spec);
+  /// The base weights behind the stock preprocess stage `spec` describes.
+  /// Kept only because the benchmark harness under perfbench/ calls it;
+  /// delete it with the next change to perfbench/ and call register_variant.
   void register_transform_variant(const std::string& name, const defense::TransformSpec& spec,
-                                  int replicas = 0);
-  /// Same, but wrapping an *independently trained* model (register_model
-  /// semantics: deep clones of `source`, refresh_variant() throws).
-  void register_transform_model(const std::string& name, const nn::LisaCnn& source,
-                                const defense::TransformSpec& spec, int replicas = 0);
-  /// Register the base weights behind an arbitrary already-built preprocess
-  /// stage — any InputTransform subclass, not just the stock spec zoo. This
-  /// is the injection point for custom pipeline stages (the load tests gate a
-  /// variant's preprocess to fill its queue deterministically). nullptr
-  /// serves the bare forward path. The stage must honor the InputTransform
-  /// contract: deterministic, per-image, thread-safe, shape-preserving.
-  void register_pipeline_variant(const std::string& name, defense::TransformPtr transform,
-                                 int replicas = 0);
-  /// Register `name` as an alias of an existing variant: same shard, same
-  /// replicas, no extra weight clones (e.g. serving a zoo model's name next
-  /// to "base" when they are the same weights, or a "canary" alias).
-  void alias_variant(const std::string& name, const std::string& existing);
+                                  int replicas = 0) {
+    VariantSpec variant;
+    variant.transform = defense::make_transform(spec);
+    variant.replicas = replicas;
+    register_variant(name, std::move(variant));
+  }
   /// Re-copy the (possibly retrained) base weights into every replica of the
   /// named variant. Must not race in-flight requests for that variant.
-  /// Throws std::logic_error — naming the variant and its kind — for
-  /// register_model() / register_transform_model() shards, whose weights do
-  /// not come from the base model. Transform-wrapped base variants refresh
-  /// their weights; the transform stage is immutable and kept.
+  /// Throws std::logic_error — naming the variant and its kind — for shards
+  /// registered from a VariantSpec::model, whose weights do not come from the
+  /// base model. Transform-wrapped base variants refresh their weights; the
+  /// transform stage is immutable and kept.
   void refresh_variant(const std::string& name);
 
   std::vector<std::string> variant_names() const;
   bool has_variant(const std::string& name) const;
-  /// The model served by the named variant (replica 0; all replicas are
-  /// bitwise-identical clones).
-  const nn::LisaCnn& variant(const std::string& name) const;
   /// The model served by replica `index` of the named variant. All replicas
   /// are bitwise-identical, but each owns its parameters (and therefore its
   /// autograd state), so gradient-side attack drivers can fan out across
   /// replicas without sharing mutable state. Throws on a bad index.
   const nn::LisaCnn& replica_model(const std::string& name, int index) const;
   int replica_count(const std::string& name) const;
-  /// The named variant's preprocess stage; nullptr for plain variants (and
-  /// kNone transform registrations). Shared by all the variant's replicas,
-  /// immutable and thread-safe — attack drivers wrap it into BPDA handles.
+  /// The named variant's preprocess stage; nullptr for plain variants.
+  /// Shared by all the variant's replicas, immutable and thread-safe —
+  /// attack drivers wrap it into BPDA handles.
   defense::TransformPtr variant_transform(const std::string& name) const;
-  /// The kind of shard the name resolves to: "weight-transfer",
-  /// "foreign-model", or the transform-wrapped forms of either. Mirrors the
-  /// wording of refresh_variant()'s error messages.
-  std::string variant_kind(const std::string& name) const;
   /// True when the "defended" variant actually wraps a filter.
   bool defense_enabled() const { return defense_enabled_; }
 
@@ -257,13 +260,6 @@ class InferenceEngine {
   /// Returns one Prediction per image, in input order. Thread-safe.
   std::vector<Prediction> classify(const tensor::Tensor& images,
                                    const Options& options = {}) const;
-
-  /// Raw logits for a CHW image or NCHW batch through the named variant, as
-  /// an [N, num_classes] tensor in input order. Same routing/batching as
-  /// classify(); for callers (evaluation harnesses, calibration) that want
-  /// the score matrix instead of per-image predictions. Thread-safe.
-  tensor::Tensor classify_logits(const tensor::Tensor& images,
-                                 const Options& options = {}) const;
 
   /// Queue one CHW (or [1,C,H,W]) image for coalesced classification through
   /// the named variant; `done` receives the outcome (see Completion). Replica
@@ -316,9 +312,7 @@ class InferenceEngine {
 
   struct VariantShard {
     std::string name;
-    nn::LisaCnnConfig config;
     bool from_base = true;  // weights transferred from model_ (refreshable)
-    defense::TransformPtr transform;  // preprocess stage; nullptr = bare forward
     std::vector<std::unique_ptr<Replica>> replicas;
     std::size_t next_replica = 0;  // round-robin tiebreak; guarded by shards_mutex_
     // Queued path, all guarded by the engine-wide queue_mutex_ (except
@@ -348,11 +342,6 @@ class InferenceEngine {
   VariantShard& require_shard_locked(const std::string& name) const;
   VariantShard& require_shard(const std::string& name) const;
   Replica& route_locked(VariantShard& shard) const;
-  void register_variant_locked(const std::string& name, const nn::LisaCnnConfig& config,
-                               int replicas);
-  void register_shard_locked(const std::string& name, const nn::LisaCnn& source,
-                             const nn::LisaCnnConfig& config, int replicas, bool from_base,
-                             defense::TransformPtr transform = nullptr);
   static std::string shard_kind(const VariantShard& shard);
   /// Full per-variant snapshot (replica counters + queue counters + latency).
   VariantStats shard_stats(const VariantShard& shard) const;

@@ -1,6 +1,5 @@
 #include "src/serve/loadgen.h"
 
-#include <algorithm>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
@@ -11,6 +10,7 @@
 #include <utility>
 
 #include "src/net/client.h"
+#include "src/serve/engine.h"
 #include "src/util/lockdep.h"
 #include "src/util/rng.h"
 
@@ -79,8 +79,7 @@ void SocketTransport::validate() const {
   }
 }
 
-LoadGenerator::LoadGenerator(InferenceEngine& engine, LoadConfig config)
-    : engine_(engine), config_(std::move(config)) {
+LoadGenerator::LoadGenerator(LoadConfig config) : config_(std::move(config)) {
   config_.validate();
   mix_ = config_.mix;
   if (mix_.empty()) mix_.push_back({kBaseVariant, 1.0});
@@ -143,10 +142,10 @@ void LoadGenerator::sleep_until_due(Clock::time_point t0, std::size_t i) const {
       t0 + std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(offsets_[i])));
 }
 
-LoadReport LoadGenerator::run(const tensor::Tensor& image) {
+LoadReport LoadGenerator::run(InferenceEngine& engine, const tensor::Tensor& image) {
   // Fail before any traffic if the mix names an unknown variant.
   for (const auto& entry : mix_) {
-    if (!engine_.has_variant(entry.variant)) {
+    if (!engine.has_variant(entry.variant)) {
       throw std::invalid_argument("LoadGenerator: mix variant \"" + entry.variant +
                                   "\" is not registered with the engine");
     }
@@ -173,7 +172,7 @@ LoadReport LoadGenerator::run(const tensor::Tensor& image) {
       ++outstanding;  // before submit(): the completion may run before it returns
     }
     try {
-      engine_.submit(image, std::move(options), [&, i](Prediction, std::exception_ptr error) {
+      engine.submit(image, std::move(options), [&, i](Prediction, std::exception_ptr error) {
         records[i].outcome = error ? Record::Outcome::kFailed : Record::Outcome::kServed;
         records[i].completion = Clock::now();
         std::lock_guard<util::DebugMutex> lock(mutex);
@@ -204,26 +203,9 @@ struct SocketLane {
   bool done = false;
 };
 
-void fill_snapshot(LatencySnapshot& snapshot, const std::vector<double>& samples) {
-  snapshot.count = static_cast<std::int64_t>(samples.size());
-  snapshot.window = snapshot.count;
-  if (samples.empty()) return;
-  double sum = 0.0, mx = samples.front();
-  for (const double v : samples) {
-    sum += v;
-    mx = std::max(mx, v);
-  }
-  snapshot.mean_us = sum / static_cast<double>(samples.size());
-  snapshot.max_us = mx;
-  snapshot.p50_us = latency_quantile(samples, 0.50);
-  snapshot.p99_us = latency_quantile(samples, 0.99);
-  snapshot.p999_us = latency_quantile(samples, 0.999);
-}
-
 }  // namespace
 
-LoadReport LoadGenerator::run_socket(const SocketTransport& transport,
-                                     const tensor::Tensor& image) {
+LoadReport LoadGenerator::run(const SocketTransport& transport, const tensor::Tensor& image) {
   transport.validate();
   const auto lanes_n = static_cast<std::size_t>(transport.connections);
   std::vector<SocketLane> lanes(lanes_n);
@@ -321,13 +303,13 @@ LoadReport LoadGenerator::report(const std::vector<Record>& records, Clock::time
   std::vector<double> merged;
   for (std::size_t m = 0; m < mix_.size(); ++m) {
     VariantLoadStats& vs = report.variants[m];
-    fill_snapshot(vs.latency, samples[m]);
     merged.insert(merged.end(), samples[m].begin(), samples[m].end());
+    vs.latency = summarize(std::move(samples[m]));
     report.served += vs.served;
     report.rejected += vs.rejected;
     report.failed += vs.failed;
   }
-  fill_snapshot(report.latency, merged);
+  report.latency = summarize(std::move(merged));
   if (report.duration_s > 0.0) {
     report.achieved_rps = static_cast<double>(report.served) / report.duration_s;
   }

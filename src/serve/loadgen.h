@@ -10,6 +10,11 @@
 // is measured against the scheduled arrival, so queueing delay a real client
 // would suffer is charged to the server.
 //
+// A LoadGenerator holds only the schedule; each run() names its target — an
+// in-process InferenceEngine, or a blurnetd server reached through a
+// SocketTransport (an address and a connection count) — so the same schedule
+// replays against either.
+//
 // Determinism contract: two LoadGenerators built from the same LoadConfig
 // produce bitwise-identical schedules — same arrival offsets, same
 // per-request variant routing (exposed via arrival_offsets() /
@@ -29,12 +34,12 @@
 // block-policy timeout) are counted per variant, never retried — an open-loop
 // shed is load the server refused, which is the datum. In-process, run()
 // spawns no threads besides its own sender: each request's engine completion
-// stamps its own record on the worker that served it. Over the socket,
-// run_socket() keeps one receiver per client connection, which reads replies
-// in send order; a reply arriving ahead of an earlier one on its connection
-// is timed when its turn comes (a small conservative bias). Both fill one
-// record per scheduled request, and one report builder folds the records
-// into the LoadReport.
+// stamps its own record on the worker that served it. Over the socket, run()
+// keeps one receiver per client connection, which reads replies in send
+// order; a reply arriving ahead of an earlier one on its connection is timed
+// when its turn comes (a small conservative bias). Both fill one record per
+// scheduled request, and one report builder folds the records into the
+// LoadReport, summarizing latencies with serve::summarize().
 #pragma once
 
 #include <chrono>
@@ -42,11 +47,12 @@
 #include <string>
 #include <vector>
 
-#include "src/serve/engine.h"
 #include "src/serve/qos.h"
 #include "src/tensor/tensor.h"
 
 namespace blurnet::serve {
+
+class InferenceEngine;
 
 enum class ArrivalProcess { kPoisson, kOnOff, kUniform };
 
@@ -90,9 +96,9 @@ struct VariantLoadStats {
   LatencySnapshot latency;    // completion − scheduled arrival, microseconds
 };
 
-/// Where run_socket() sends its traffic: a running blurnetd server. The
-/// schedule (arrivals, variant routing) is identical to run()'s — the
-/// transport only changes *how* each request travels. Request i is pipelined
+/// Where a socket run() sends its traffic: a running blurnetd server. The
+/// schedule (arrivals, variant routing) is identical to the in-process
+/// run()'s — the transport only changes *how* each request travels. Request i is pipelined
 /// on client connection i % connections, so the per-connection interleaving is
 /// itself deterministic.
 struct SocketTransport {
@@ -120,9 +126,9 @@ struct LoadReport {
 
 class LoadGenerator {
  public:
-  /// Builds the full deterministic schedule up front; the engine is not
-  /// touched until run(). Throws std::invalid_argument on a bad config.
-  LoadGenerator(InferenceEngine& engine, LoadConfig config);
+  /// Builds the full deterministic schedule. Throws std::invalid_argument on
+  /// a bad config.
+  explicit LoadGenerator(LoadConfig config);
 
   /// Scheduled send time of each request, seconds after the run starts.
   /// Strictly derived from (seed, arrival process, offered_rps); sorted
@@ -135,20 +141,20 @@ class LoadGenerator {
   const std::vector<VariantMix>& mix() const { return mix_; }
   const LoadConfig& config() const { return config_; }
 
-  /// Replay the schedule against the engine, submitting clones of `image`
-  /// (CHW). Blocks until every non-rejected request resolves. May be called
+  /// Replay the schedule against `engine`, submitting clones of `image`
+  /// (CHW). Fails before any traffic if the mix names a variant the engine
+  /// lacks. Blocks until every non-rejected request resolves. May be called
   /// repeatedly; each run replays the identical schedule.
-  LoadReport run(const tensor::Tensor& image);
+  LoadReport run(InferenceEngine& engine, const tensor::Tensor& image);
 
-  /// Replay the same schedule against a blurnetd server over TCP instead of
-  /// the in-process engine: requests travel as kClassify frames, pipelined
-  /// across `transport.connections` client connections, and latency is still
-  /// measured open-loop (completion − scheduled arrival), now including the
-  /// wire. Server-side sheds come back as kOverload error frames and are
-  /// counted per variant as `rejected`; kShuttingDown / kInvalidRequest /
-  /// transport failures count as `failed`. The engine this generator was built
-  /// with is not touched — the server may wrap it or live in another process.
-  LoadReport run_socket(const SocketTransport& transport, const tensor::Tensor& image);
+  /// Replay the same schedule against a blurnetd server over TCP: requests
+  /// travel as kClassify frames, pipelined across `transport.connections`
+  /// client connections, and latency is still measured open-loop (completion
+  /// − scheduled arrival), now including the wire. Server-side sheds come
+  /// back as kOverload error frames and are counted per variant as
+  /// `rejected`; kShuttingDown / kInvalidRequest / transport failures count
+  /// as `failed`. The server may live in this process or another one.
+  LoadReport run(const SocketTransport& transport, const tensor::Tensor& image);
 
  private:
   /// Outcome of one scheduled request, indexed by schedule position. Written
@@ -167,7 +173,6 @@ class LoadGenerator {
   LoadReport report(const std::vector<Record>& records,
                     std::chrono::steady_clock::time_point t0) const;
 
-  InferenceEngine& engine_;
   LoadConfig config_;
   std::vector<VariantMix> mix_;
   std::vector<double> offsets_;

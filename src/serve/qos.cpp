@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace blurnet::serve {
 
@@ -26,29 +27,30 @@ void LatencyRing::record(double micros) {
 
 LatencySnapshot LatencyRing::snapshot() const {
   std::vector<double> window;
-  LatencySnapshot snap;
+  std::int64_t count = 0;
   {
     std::lock_guard<util::DebugMutex> lock(mutex_);
     window = samples_;
-    snap.count = count_;
+    count = count_;
   }
-  snap.window = static_cast<std::int64_t>(window.size());
-  if (window.empty()) return snap;
-  double sum = 0.0, mx = window.front();
-  for (const double v : window) {
-    sum += v;
-    mx = std::max(mx, v);
-  }
-  snap.mean_us = sum / static_cast<double>(window.size());
-  snap.max_us = mx;
-  std::sort(window.begin(), window.end());
-  auto rank = [&](double q) {
-    const auto n = static_cast<std::int64_t>(window.size());
-    std::int64_t r = static_cast<std::int64_t>(std::ceil(q * static_cast<double>(n)));
-    if (r < 1) r = 1;
-    if (r > n) r = n;
-    return window[static_cast<std::size_t>(r - 1)];
+  LatencySnapshot snap = summarize(std::move(window));
+  snap.count = count;
+  return snap;
+}
+
+LatencySnapshot summarize(std::vector<double> samples) {
+  LatencySnapshot snap;
+  snap.count = snap.window = static_cast<std::int64_t>(samples.size());
+  if (samples.empty()) return snap;
+  double sum = 0.0;
+  for (const double v : samples) sum += v;
+  snap.mean_us = sum / static_cast<double>(samples.size());
+  std::sort(samples.begin(), samples.end());
+  const auto rank = [&](double q) {
+    const auto r = static_cast<std::int64_t>(std::ceil(q * static_cast<double>(snap.window)));
+    return samples[static_cast<std::size_t>(std::clamp<std::int64_t>(r, 1, snap.window) - 1)];
   };
+  snap.max_us = samples.back();
   snap.p50_us = rank(0.50);
   snap.p99_us = rank(0.99);
   snap.p999_us = rank(0.999);

@@ -1,16 +1,18 @@
-// Serving-QoS instrumentation shared by the engine and the load generator.
+// Serving-QoS latency summaries, shared by the engine and the load generator.
 //
-// LatencyRing is a fixed-size sliding-window reservoir of latency samples:
-// record() is O(1) under a private mutex (safe from any number of replica
-// workers), snapshot() copies the window out and derives order statistics.
-// Like eval::VictimProgress, snapshots are readable mid-run — the engine
-// exposes one per variant shard through EngineStats, so an operator (or the
-// load harness) can watch p99 move while traffic is in flight.
+// summarize() turns a set of latency samples into a LatencySnapshot (mean,
+// max and nearest-rank p50/p99/p999; p(q) is the ceil(q * n)-th smallest
+// sample). The load generator summarizes each run's per-request latencies
+// with it.
 //
-// Quantiles use the nearest-rank method on the sorted window: p(q) is the
-// ceil(q * n)-th smallest sample. The window is fixed at construction, so a
-// long benchmark sees the *latest* capacity samples — steady-state tails —
-// rather than averaging warm-up spikes into the run.
+// LatencyRing is the engine's fixed-size sliding-window reservoir: record()
+// is O(1) under a private mutex (safe from any number of replica workers),
+// snapshot() copies the window out and summarizes it. Snapshots are readable
+// mid-run — the engine exposes one per variant shard through EngineStats, so
+// an operator can watch p99 move while traffic is in flight. The window is
+// fixed at construction, so a long benchmark sees the *latest* capacity
+// samples — steady-state tails — rather than averaging warm-up spikes into
+// the run.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +57,12 @@ class LatencyRing {
   std::int64_t count_ = 0;
 };
 
+/// Order statistics over `samples` (sorted once, in place); count and window
+/// are both the sample count.
+LatencySnapshot summarize(std::vector<double> samples);
+
 /// Nearest-rank quantile of an unsorted sample vector (q in [0, 1]); sorts a
-/// copy. Exposed for the load generator's report assembly and for tests.
+/// copy. The reference the tests check summarize() against.
 double latency_quantile(std::vector<double> samples, double q);
 
 }  // namespace blurnet::serve

@@ -17,6 +17,24 @@ namespace {
 
 using blurnet::testing::tiny_trained_model;
 
+serve::VariantSpec transfer_spec(const nn::LisaCnnConfig& config) {
+  serve::VariantSpec spec;
+  spec.config = config;
+  return spec;
+}
+
+serve::VariantSpec foreign_spec(const nn::LisaCnn& model) {
+  serve::VariantSpec spec;
+  spec.model = &model;
+  return spec;
+}
+
+serve::VariantSpec transform_spec(const defense::TransformSpec& transform) {
+  serve::VariantSpec spec;
+  spec.transform = defense::make_transform(transform);
+  return spec;
+}
+
 ExperimentScale tiny_scale() {
   ExperimentScale scale;
   scale.eval_images = 3;
@@ -262,7 +280,7 @@ TEST(Harness, TransferMatrixBitwiseEqualsRawModelAcrossReplicaCounts) {
   for (const int replicas : {1, 2, 4}) {
     Harness harness(source, replicas);
     harness.adopt_variant(serve::kBaseVariant);
-    harness.add_variant_victim("filtered", filtered);
+    harness.add_victim("filtered", transfer_spec(filtered));
     const auto results = TransferMatrix{scale}.run(
         harness, serve::kBaseVariant, {std::string(serve::kBaseVariant), "filtered"},
         stop_set);
@@ -294,7 +312,7 @@ TEST(Scheduler, MultiVictimRunBitwiseEqualsIndividualRunsAcrossReplicaCounts) {
   // Individual protocol runs (single-job schedulers) as the reference.
   Harness reference(model);
   reference.adopt_variant(serve::kBaseVariant);
-  reference.add_variant_victim("filtered", filtered_config);
+  reference.add_victim("filtered", transfer_spec(filtered_config));
   const auto ref_sweep =
       WhiteboxSweep{scale}.run(reference, serve::kBaseVariant, 0.9, stop_set);
   const auto ref_adaptive =
@@ -307,7 +325,7 @@ TEST(Scheduler, MultiVictimRunBitwiseEqualsIndividualRunsAcrossReplicaCounts) {
     const std::string context = "replicas " + std::to_string(replicas);
     Harness harness(model, replicas);
     harness.adopt_variant(serve::kBaseVariant);
-    harness.add_variant_victim("filtered", filtered_config);
+    harness.add_victim("filtered", transfer_spec(filtered_config));
 
     SweepScheduler scheduler(harness);
     const auto sweep_job =
@@ -396,7 +414,7 @@ TEST(Harness, TransformedSweepsBitwiseEqualInlineReferenceAcrossReplicaCounts) {
   for (const int replicas : {1, 2, 4}) {
     const std::string context = "replicas " + std::to_string(replicas);
     Harness harness(model, replicas);
-    harness.add_transform_victim("squeeze4", spec);
+    harness.add_victim("squeeze4", transform_spec(spec));
 
     // The victim handle carries the transform for BPDA crafting...
     const auto handle = harness.victim_handle("squeeze4");
@@ -428,7 +446,7 @@ TEST(Harness, NoneTransformVictimReproducesPlainWhiteboxBitwise) {
   const auto reference = reference_whitebox(model, 0.9, stop_set, scale);
 
   Harness harness(model, /*replicas=*/2);
-  harness.add_transform_victim("noop", defense::TransformSpec::none());
+  harness.add_victim("noop", transform_spec(defense::TransformSpec::none()));
   EXPECT_FALSE(harness.victim_handle("noop").has_input_transform());
   // transform_input is the identity for transform-free victims: no copy.
   EXPECT_TRUE(harness.victim_handle("noop")
@@ -470,7 +488,8 @@ TEST(Harness, VictimRegistryValidation) {
   // Unknown engine variants cannot be adopted; duplicates are rejected.
   EXPECT_THROW(harness.adopt_variant("nope"), std::invalid_argument);
   EXPECT_THROW(harness.adopt_variant(serve::kBaseVariant), std::invalid_argument);
-  EXPECT_THROW(harness.add_victim(serve::kBaseVariant, model), std::invalid_argument);
+  EXPECT_THROW(harness.add_victim(serve::kBaseVariant, foreign_spec(model)),
+               std::invalid_argument);
   // predict() on an unregistered victim names the known ones.
   const auto stop_set = data::stop_sign_eval_set(1);
   try {
@@ -502,7 +521,7 @@ TEST(Harness, PredictMatchesRawModelAndCountsTraffic) {
   smoothing.samples = 2;
   eval::VictimSpec spec;
   spec.smoothing = smoothing;
-  harness.add_victim("smoothed", model, spec);
+  harness.add_victim("smoothed", foreign_spec(model), spec);
   EXPECT_EQ(harness.predict("smoothed", image).size(), 1u);
 }
 

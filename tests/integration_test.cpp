@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <utility>
 
 #include "src/defense/blurnet.h"
 #include "src/eval/harness.h"
@@ -102,7 +103,9 @@ TEST(Integration, WhiteboxSweepOnDefendedAndBaseline) {
 
   eval::Harness harness(baseline);
   harness.adopt_variant(serve::kBaseVariant);
-  harness.add_victim("defended-tv", defended);
+  serve::VariantSpec defended_tv;
+  defended_tv.model = &defended;
+  harness.add_victim("defended-tv", std::move(defended_tv));
   const eval::WhiteboxSweep protocol{scale};
   const auto base_sweep = protocol.run(harness, serve::kBaseVariant, 0.9, stop_set);
   const auto defended_sweep = protocol.run(harness, "defended-tv", 0.9, stop_set);
@@ -140,7 +143,9 @@ TEST(Integration, SmoothedPredictorPluggedIntoSweep) {
   eval::Harness harness(model);
   eval::VictimSpec spec;
   spec.smoothing = smoothing;
-  harness.add_victim("smoothed", model, spec);
+  serve::VariantSpec variant;
+  variant.model = &model;
+  harness.add_victim("smoothed", std::move(variant), spec);
   const auto sweep =
       eval::WhiteboxSweep{scale}.run(harness, "smoothed", 1.0, stop_set);
   EXPECT_LE(sweep.worst_success, 1.0);

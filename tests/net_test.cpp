@@ -11,6 +11,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/defense/input_transform.h"
@@ -95,6 +96,13 @@ class GateTransform : public defense::InputTransform {
   mutable std::condition_variable cv_;
   bool open_ = false;
 };
+
+/// The base weights behind `transform`, as register_variant() takes them.
+serve::VariantSpec behind(defense::TransformPtr transform) {
+  serve::VariantSpec spec;
+  spec.transform = std::move(transform);
+  return spec;
+}
 
 // ---- framing ---------------------------------------------------------------
 
@@ -457,7 +465,7 @@ TEST(Server, OverloadComesBackAsOverloadError) {
   config.overload_policy = serve::OverloadPolicy::kReject;
   serve::InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   Server server(engine, {});
   Client client("127.0.0.1", server.port());
 
@@ -505,7 +513,7 @@ TEST(Server, UnboundedBlockAdmissionParksAndStopStaysBounded) {
   config.block_timeout_ms = 0;
   serve::InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   ServerConfig server_config;
   server_config.drain_timeout_ms = 150;
   Server server(engine, server_config);
@@ -534,7 +542,7 @@ TEST(Server, ParkedRequestCountsOnceInBlocked) {
   config.overload_policy = serve::OverloadPolicy::kBlock;
   serve::InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   Server server(engine, {});
   Client blocked("127.0.0.1", server.port());
 
@@ -568,7 +576,7 @@ TEST(Server, ParkedRequestCountsOnceInBlocked) {
 TEST(Server, FastVariantReplyOvertakesGatedReplyOnOneConnection) {
   serve::InferenceEngine engine(small_engine_config());
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   Server server(engine, {});
   Client client("127.0.0.1", server.port());
 
@@ -593,7 +601,7 @@ TEST(Server, DestroyedServerLeavesLateCompletionsSafe) {
   // (the ASan and TSan jobs run this test).
   serve::InferenceEngine engine(small_engine_config());
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   const auto batch = random_batch(3, 89);
   {
     ServerConfig config;
@@ -652,7 +660,7 @@ TEST(Server, EventLoopStaysResponsiveWhileBlockAdmissionWaits) {
   config.block_timeout_ms = 10000;
   serve::InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   Server server(engine, {});
 
   // Fill the gated variant: one request parked inside the gate, one in the
@@ -770,7 +778,7 @@ TEST(Server, GracefulStopDrainsInFlightAndRefusesNewWork) {
   serve::EngineConfig config = small_engine_config();
   serve::InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   Server server(engine, {});
   Client client("127.0.0.1", server.port());
 
@@ -799,7 +807,7 @@ TEST(Server, GracefulStopDrainsInFlightAndRefusesNewWork) {
 TEST(Server, StopTimeoutAbandonsStuckRequests) {
   serve::InferenceEngine engine(small_engine_config());
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   ServerConfig config;
   config.drain_timeout_ms = 150;
   Server server(engine, config);
@@ -855,13 +863,13 @@ TEST(LoadGenerator, SocketTransportMatchesScheduleAndServes) {
   load.requests = 60;
   load.seed = 7;
   load.mix = {{serve::kBaseVariant, 1.0}, {serve::kDefendedVariant, 1.0}};
-  serve::LoadGenerator generator(engine, load);
+  serve::LoadGenerator generator(load);
 
   serve::SocketTransport transport;
   transport.port = server.port();
   transport.connections = 3;
   const auto image = single_image(random_batch(1, 61), 0);
-  const serve::LoadReport report = generator.run_socket(transport, image);
+  const serve::LoadReport report = generator.run(transport, image);
 
   EXPECT_EQ(report.offered, 60);
   EXPECT_EQ(report.served, 60);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -8,8 +9,10 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/defense/input_transform.h"
@@ -50,6 +53,13 @@ tensor::Tensor single_image(const tensor::Tensor& batch, std::int64_t i) {
   tensor::Tensor image(tensor::Shape{batch.dim(1), batch.dim(2), batch.dim(3)});
   std::copy(batch.data() + i * stride, batch.data() + (i + 1) * stride, image.data());
   return image;
+}
+
+/// The base weights behind `transform`, as register_variant() takes them.
+VariantSpec behind(defense::TransformPtr transform) {
+  VariantSpec spec;
+  spec.transform = std::move(transform);
+  return spec;
 }
 
 void expect_bitwise_equal(const Prediction& a, const Prediction& b,
@@ -185,8 +195,8 @@ TEST(Engine, OversizedBatchIsSlicedBitwiseEqual) {
 TEST(Engine, DefendedVariantUsesFilteredModel) {
   const InferenceEngine engine(small_engine_config());
   ASSERT_TRUE(engine.defense_enabled());
-  EXPECT_EQ(engine.variant(kDefendedVariant).config().fixed_filter.kernel, 3);
-  EXPECT_EQ(engine.variant(kBaseVariant).config().fixed_filter.kernel, 0);
+  EXPECT_EQ(engine.replica_model(kDefendedVariant, 0).config().fixed_filter.kernel, 3);
+  EXPECT_EQ(engine.replica_model(kBaseVariant, 0).config().fixed_filter.kernel, 0);
   EXPECT_EQ(engine.model().config().fixed_filter.kernel, 0);
 
   // The blur on the first-layer maps must actually change the logits.
@@ -296,78 +306,178 @@ TEST(Engine, ConcurrentSubmitBitwiseEqualAcrossReplicaCounts) {
   }
 }
 
-TEST(Engine, RegisterCustomVariantServesTransferredWeights) {
-  InferenceEngine engine(small_engine_config());
+// The one registration call over every weight source x every preprocess
+// choice: each variant serves exactly the hand-run transform followed by its
+// source model's forward, honors its replica count, and refreshes (or refuses
+// to, naming its kind) by where its weights came from.
+TEST(Engine, RegisterVariantServesEverySourceBehindEveryTransform) {
+  InferenceEngine engine(small_engine_config(2));  // engine default: 2 replicas
   nn::LisaCnnConfig blur7 = small_model_config();
   blur7.fixed_filter = {nn::FilterPlacement::kAfterLayer1, 7, signal::KernelKind::kBox};
-  engine.register_variant("blur7", blur7, /*replicas=*/2);
-  EXPECT_TRUE(engine.has_variant("blur7"));
-  EXPECT_EQ(engine.replica_count("blur7"), 2);
-  EXPECT_EQ(engine.variant("blur7").config().fixed_filter.kernel, 7);
-
-  // The variant serves the base weights behind the 7x7 filter: identical to a
-  // hand-built transfer of the same weights into the same architecture.
-  const auto batch = random_batch(3, 43);
-  const nn::LisaCnn expected = engine.model().clone_with_config(blur7);
-  const auto via_engine = engine.classify(batch, Options{"blur7"});
-  const auto expected_logits = expected.logits(batch);
-  for (std::int64_t i = 0; i < 3; ++i) {
-    for (std::int64_t k = 0; k < expected_logits.dim(1); ++k) {
-      EXPECT_EQ(via_engine[static_cast<std::size_t>(i)].logits[static_cast<std::size_t>(k)],
-                expected_logits.at2(i, k));
-    }
-  }
-
-  // Queued traffic reaches registered variants too.
-  auto future = engine.submit(single_image(batch, 0), Options{"blur7"});
-  expect_bitwise_equal(future.get(), via_engine[0], "queued blur7");
-
-  EXPECT_THROW(engine.register_variant("blur7", blur7), std::invalid_argument);
-  EXPECT_THROW(engine.register_variant("", blur7), std::invalid_argument);
-}
-
-TEST(Engine, RegisterModelServesForeignWeights) {
-  // A differently-trained (here: differently-initialized) model served as a
-  // variant next to the base: replicas clone the *source*, not the base.
-  InferenceEngine engine(small_engine_config());
+  const nn::LisaCnn blur7_reference = engine.model().clone_with_config(blur7);
   nn::LisaCnnConfig other_config = small_model_config();
   other_config.init_seed = 99;
   const nn::LisaCnn other(other_config);
-  engine.register_model("other", other, /*replicas=*/2);
-  EXPECT_TRUE(engine.has_variant("other"));
-  EXPECT_EQ(engine.replica_count("other"), 2);
 
-  const auto batch = random_batch(3, 61);
-  const auto via_engine = engine.classify(batch, Options{"other"});
-  const auto expected = other.logits(batch);
-  for (std::int64_t i = 0; i < 3; ++i) {
-    for (std::int64_t k = 0; k < expected.dim(1); ++k) {
-      EXPECT_EQ(via_engine[static_cast<std::size_t>(i)].logits[static_cast<std::size_t>(k)],
-                expected.at2(i, k));
+  enum class Source { kBase, kTransfer, kForeign, kAlias };
+  const std::vector<std::pair<Source, std::string>> sources = {
+      {Source::kBase, "base-transfer"},
+      {Source::kTransfer, "blur7-transfer"},
+      {Source::kForeign, "foreign"},
+      {Source::kAlias, "alias"}};
+  const std::vector<std::optional<defense::TransformSpec>> transforms = {
+      std::nullopt, defense::TransformSpec::median(3), defense::TransformSpec::none()};
+  const auto batch = random_batch(3, 43);
+  const auto plain = engine.classify(batch);
+  std::size_t shards = engine.stats().variants.size();
+  int row = 0;
+  for (const auto& [source, source_name] : sources) {
+    for (const auto& transform_spec : transforms) {
+      const std::string name = source_name + "/" +
+                               (transform_spec ? transform_spec->name() : std::string("plain"));
+      const std::string context = "variant " + name;
+      VariantSpec spec;
+      const nn::LisaCnn* reference = &engine.model();
+      if (source == Source::kTransfer) {
+        spec.config = blur7;
+        reference = &blur7_reference;
+      } else if (source == Source::kForeign) {
+        spec.model = &other;
+        reference = &other;
+      } else if (source == Source::kAlias) {
+        spec.alias_of = kBaseVariant;
+      }
+      if (transform_spec) spec.transform = defense::make_transform(*transform_spec);
+      const defense::TransformPtr transform = spec.transform;
+      // Alternate the engine default (0) with an explicit count; an alias
+      // takes its target's replicas.
+      const int replicas = source == Source::kAlias ? 0 : row++ % 2;
+      spec.replicas = replicas;
+      if (source == Source::kAlias && transform) {
+        EXPECT_THROW(engine.register_variant(name, std::move(spec)), std::invalid_argument)
+            << context;
+        EXPECT_FALSE(engine.has_variant(name)) << context;
+        continue;
+      }
+      engine.register_variant(name, std::move(spec));
+      ASSERT_TRUE(engine.has_variant(name)) << context;
+      // kNone attaches no stage at all: structurally the plain path.
+      EXPECT_EQ(engine.variant_transform(name), transform) << context;
+
+      // Bitwise the hand-run transform followed by the source model.
+      const auto input = transform ? defense::InputTransform(*transform_spec).apply(batch) : batch;
+      const auto expected = reference->logits(input);
+      const auto via_engine = engine.classify(batch, Options{name});
+      for (std::int64_t i = 0; i < 3; ++i) {
+        for (std::int64_t k = 0; k < expected.dim(1); ++k) {
+          EXPECT_EQ(via_engine[static_cast<std::size_t>(i)].logits[static_cast<std::size_t>(k)],
+                    expected.at2(i, k))
+              << context << " image " << i;
+        }
+      }
+      // Only the base weights with no stage are the plain path.
+      const bool is_plain = reference == &engine.model() && !transform;
+      EXPECT_EQ(via_engine[0].logits == plain[0].logits, is_plain) << context;
+      // Queued traffic reaches the variant too.
+      expect_bitwise_equal(engine.submit(single_image(batch, 0), Options{name}).get(),
+                           via_engine[0], context + " queued");
+
+      if (source == Source::kAlias) {
+        // Same shard: same replicas, same counters, no new stats entry.
+        EXPECT_EQ(&engine.replica_model(name, 0), &engine.replica_model(kBaseVariant, 0))
+            << context;
+        EXPECT_EQ(engine.replica_count(name), engine.replica_count(kBaseVariant)) << context;
+        EXPECT_EQ(engine.images_served(name), engine.images_served(kBaseVariant)) << context;
+      } else {
+        ++shards;
+        EXPECT_EQ(engine.replica_count(name), replicas == 0 ? 2 : replicas) << context;
+      }
+      EXPECT_EQ(engine.stats().variants.size(), shards) << context;
+
+      if (source == Source::kForeign) {
+        const std::string kind = transform ? "transform-wrapped foreign-model (median3)"
+                                           : "foreign-model";
+        try {
+          engine.refresh_variant(name);
+          ADD_FAILURE() << "expected std::logic_error for " << context;
+        } catch (const std::logic_error& e) {
+          EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+          EXPECT_NE(std::string(e.what()).find(kind), std::string::npos) << e.what();
+        }
+      } else {
+        EXPECT_NO_THROW(engine.refresh_variant(name)) << context;
+      }
     }
   }
-  // The foreign weights are NOT the base weights.
-  EXPECT_NE(via_engine[0].logits, engine.classify(batch)[0].logits);
-  // And the shard is not refreshable from the base model.
-  EXPECT_THROW(engine.refresh_variant("other"), std::logic_error);
-  EXPECT_THROW(engine.register_model("other", other), std::invalid_argument);
 }
 
-TEST(Engine, AliasVariantSharesShardWithoutNewReplicas) {
-  InferenceEngine engine(small_engine_config(2));
-  engine.alias_variant("canary", kBaseVariant);
-  EXPECT_TRUE(engine.has_variant("canary"));
-  EXPECT_EQ(engine.replica_count("canary"), 2);
-  // Same shard: traffic through either name lands on the same counters, and
-  // stats() reports one variant entry per shard (no duplicate for aliases).
-  const auto batch = random_batch(3, 59);
-  const auto via_alias = engine.classify(batch, Options{"canary"});
-  EXPECT_EQ(via_alias[0].logits, engine.classify(batch)[0].logits);
-  EXPECT_EQ(engine.images_served("canary"), engine.images_served(kBaseVariant));
-  EXPECT_EQ(engine.stats().variants.size(), 2u);  // base + defended shards only
-  EXPECT_THROW(engine.alias_variant("canary", kBaseVariant), std::invalid_argument);
-  EXPECT_THROW(engine.alias_variant("x", "no-such-variant"), std::invalid_argument);
-  EXPECT_THROW(engine.alias_variant("", kBaseVariant), std::invalid_argument);
+TEST(Engine, RegisterVariantRejectsInvalidSpecsNamingTheVariant) {
+  InferenceEngine engine(small_engine_config());
+  const nn::LisaCnn other(small_model_config());
+  nn::LisaCnnConfig gray = small_model_config();
+  gray.in_channels = 1;
+  const nn::LisaCnn gray_model(gray);
+  const auto names_before = engine.variant_names();
+
+  const auto expect_rejected = [&](const std::string& name, VariantSpec spec,
+                                   const std::string& fragment) {
+    try {
+      engine.register_variant(name, std::move(spec));
+      ADD_FAILURE() << "expected std::invalid_argument mentioning \"" << fragment << "\"";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("\"" + name + "\""), std::string::npos) << message;
+      EXPECT_NE(message.find(fragment), std::string::npos) << message;
+    }
+  };
+  const auto make = [&](auto&& set) {
+    VariantSpec spec;
+    set(spec);
+    return spec;
+  };
+  const auto transform = defense::make_transform(defense::TransformSpec::median(3));
+
+  EXPECT_THROW(engine.register_variant("", {}), std::invalid_argument);
+  expect_rejected(kBaseVariant, {}, "already registered");
+  expect_rejected(kDefendedVariant, make([&](VariantSpec& s) { s.model = &other; }),
+                  "already registered");
+  expect_rejected("ghost", make([](VariantSpec& s) { s.alias_of = "no-such-variant"; }),
+                  "no-such-variant");
+  expect_rejected("gray", make([&](VariantSpec& s) { s.model = &gray_model; }),
+                  "input shape");
+  expect_rejected("gray_transfer", make([&](VariantSpec& s) { s.config = gray; }),
+                  "input shape");
+  expect_rejected("two", make([&](VariantSpec& s) {
+                    s.config = small_model_config();
+                    s.model = &other;
+                  }),
+                  "more than one weight source");
+  expect_rejected("two", make([&](VariantSpec& s) {
+                    s.model = &other;
+                    s.alias_of = kBaseVariant;
+                  }),
+                  "more than one weight source");
+  expect_rejected("two", make([&](VariantSpec& s) {
+                    s.config = small_model_config();
+                    s.alias_of = kBaseVariant;
+                  }),
+                  "more than one weight source");
+  expect_rejected("canary", make([&](VariantSpec& s) {
+                    s.alias_of = kBaseVariant;
+                    s.transform = transform;
+                  }),
+                  "no transform or replicas");
+  expect_rejected("canary", make([&](VariantSpec& s) {
+                    s.alias_of = kBaseVariant;
+                    s.replicas = 2;
+                  }),
+                  "no transform or replicas");
+  expect_rejected("negative", make([](VariantSpec& s) { s.replicas = -1; }), "replicas");
+  // A malformed stock stage fails where it is built, before registration.
+  EXPECT_THROW(defense::make_transform(defense::TransformSpec::median(2)),
+               std::invalid_argument);
+  // Nothing was half-registered.
+  EXPECT_EQ(engine.variant_names(), names_before);
 }
 
 TEST(Engine, ReplicaModelExposesBitwiseIdenticalClones) {
@@ -389,21 +499,6 @@ TEST(Engine, ReplicaModelExposesBitwiseIdenticalClones) {
   }
   EXPECT_THROW(engine.replica_model(kBaseVariant, 3), std::invalid_argument);
   EXPECT_THROW(engine.replica_model(kBaseVariant, -1), std::invalid_argument);
-}
-
-TEST(Engine, ClassifyLogitsMatchesClassify) {
-  const InferenceEngine engine(small_engine_config());
-  const auto batch = random_batch(5, 71);
-  const auto predictions = engine.classify(batch, Options{kDefendedVariant});
-  const auto logits = engine.classify_logits(batch, Options{kDefendedVariant});
-  ASSERT_EQ(logits.dim(0), 5);
-  ASSERT_EQ(logits.dim(1), 18);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    for (std::int64_t k = 0; k < 18; ++k) {
-      EXPECT_EQ(logits.at2(i, k),
-                predictions[static_cast<std::size_t>(i)].logits[static_cast<std::size_t>(k)]);
-    }
-  }
 }
 
 TEST(Engine, VariantStatsSnapshotCountsServedImages) {
@@ -509,37 +604,6 @@ TEST(Engine, ConfigValidationRejectsNonPositiveKnobs) {
   EXPECT_NO_THROW(small_engine_config().validate());
 }
 
-TEST(Engine, TransformVariantRunsPreprocessThenForward) {
-  InferenceEngine engine(small_engine_config());
-  const auto spec = defense::TransformSpec::median(3);
-  engine.register_transform_variant("median3", spec, /*replicas=*/2);
-  EXPECT_TRUE(engine.has_variant("median3"));
-  EXPECT_EQ(engine.replica_count("median3"), 2);
-  ASSERT_NE(engine.variant_transform("median3"), nullptr);
-  EXPECT_EQ(engine.variant_transform("median3")->name(), "median3");
-  EXPECT_EQ(engine.variant_kind("median3"), "transform-wrapped weight-transfer (median3)");
-  EXPECT_EQ(engine.variant_kind(kBaseVariant), "weight-transfer");
-  EXPECT_EQ(engine.variant_transform(kBaseVariant), nullptr);
-
-  // The two-stage pipeline equals a hand-run transform followed by the base
-  // forward — bitwise, since both run the exact same kernels.
-  const auto batch = random_batch(5, 83);
-  const defense::InputTransform reference_transform(spec);
-  const auto expected = engine.model().logits(reference_transform.apply(batch));
-  const auto via_engine = engine.classify(batch, Options{"median3"});
-  for (std::int64_t i = 0; i < 5; ++i) {
-    for (std::int64_t k = 0; k < expected.dim(1); ++k) {
-      EXPECT_EQ(via_engine[static_cast<std::size_t>(i)].logits[static_cast<std::size_t>(k)],
-                expected.at2(i, k));
-    }
-  }
-  // And the transform must actually change the prediction inputs.
-  EXPECT_NE(via_engine[0].logits, engine.classify(batch)[0].logits);
-  EXPECT_THROW(engine.register_transform_variant("median3", spec), std::invalid_argument);
-  EXPECT_THROW(engine.register_transform_variant("bad", defense::TransformSpec::median(2)),
-               std::invalid_argument);
-}
-
 // The tentpole determinism proof: a transformed variant's per-image results
 // are bitwise identical for any replica count, batch split, or queue
 // coalescing — the preprocess stage rides inside the replica, so sharding
@@ -551,7 +615,7 @@ TEST(Engine, TransformVariantBitwiseAcrossReplicaCountsAndBatchSplits) {
   std::vector<Prediction> reference;
   {
     InferenceEngine engine(small_engine_config(1));
-    engine.register_transform_variant("dctq50", spec);
+    engine.register_variant("dctq50", behind(defense::make_transform(spec)));
     for (std::int64_t i = 0; i < 12; ++i) {
       reference.push_back(engine.classify(single_image(batch, i), Options{"dctq50"})[0]);
     }
@@ -559,7 +623,7 @@ TEST(Engine, TransformVariantBitwiseAcrossReplicaCountsAndBatchSplits) {
 
   for (const int replicas : {1, 2, 4}) {
     InferenceEngine engine(small_engine_config(replicas));
-    engine.register_transform_variant("dctq50", spec);
+    engine.register_variant("dctq50", behind(defense::make_transform(spec)));
     const std::string context = "replicas " + std::to_string(replicas);
 
     // Whole batch, and a forced 5-image slicing of the same batch.
@@ -599,9 +663,8 @@ TEST(Engine, NoneTransformVariantIsBitwiseThePlainPath) {
   // is structurally a plain weight-transfer shard — the "transform off"
   // anchor the BPDA-off attack equivalence builds on.
   InferenceEngine engine(small_engine_config());
-  engine.register_transform_variant("noop", defense::TransformSpec::none());
+  engine.register_variant("noop", behind(defense::make_transform(defense::TransformSpec::none())));
   EXPECT_EQ(engine.variant_transform("noop"), nullptr);
-  EXPECT_EQ(engine.variant_kind("noop"), "weight-transfer");
   const auto batch = random_batch(4, 97);
   const auto plain = engine.classify(batch);
   const auto noop = engine.classify(batch, Options{"noop"});
@@ -612,33 +675,15 @@ TEST(Engine, NoneTransformVariantIsBitwiseThePlainPath) {
   EXPECT_NO_THROW(engine.refresh_variant("noop"));
 }
 
-TEST(Engine, TransformModelServesForeignWeightsBehindPreprocess) {
-  InferenceEngine engine(small_engine_config());
-  nn::LisaCnnConfig other_config = small_model_config();
-  other_config.init_seed = 123;
-  const nn::LisaCnn other(other_config);
-  const auto spec = defense::TransformSpec::squeeze(4);
-  engine.register_transform_model("other_sq", other, spec, /*replicas=*/2);
-  EXPECT_EQ(engine.variant_kind("other_sq"), "transform-wrapped foreign-model (squeeze4)");
-
-  const auto batch = random_batch(3, 101);
-  const defense::InputTransform transform(spec);
-  const auto expected = other.logits(transform.apply(batch));
-  const auto via_engine = engine.classify(batch, Options{"other_sq"});
-  for (std::int64_t i = 0; i < 3; ++i) {
-    for (std::int64_t k = 0; k < expected.dim(1); ++k) {
-      EXPECT_EQ(via_engine[static_cast<std::size_t>(i)].logits[static_cast<std::size_t>(k)],
-                expected.at2(i, k));
-    }
-  }
-}
-
 TEST(Engine, RefreshVariantErrorsNameTheVariantAndItsKind) {
   InferenceEngine engine(small_engine_config());
   const nn::LisaCnn other(small_model_config());
-  engine.register_model("foreign", other);
-  engine.register_transform_model("foreign_med", other, defense::TransformSpec::median(3));
-  engine.register_transform_variant("base_med", defense::TransformSpec::median(3));
+  VariantSpec foreign;
+  foreign.model = &other;
+  engine.register_variant("foreign", foreign);
+  foreign.transform = defense::make_transform(defense::TransformSpec::median(3));
+  engine.register_variant("foreign_med", foreign);
+  engine.register_variant("base_med", behind(foreign.transform));
 
   const auto check = [&](const std::string& name, const std::string& kind) {
     try {
@@ -652,6 +697,9 @@ TEST(Engine, RefreshVariantErrorsNameTheVariantAndItsKind) {
   };
   check("foreign", "foreign-model");
   check("foreign_med", "transform-wrapped foreign-model (median3)");
+  // Every weight-transfer shard refreshes, bare or transform-wrapped.
+  EXPECT_NO_THROW(engine.refresh_variant(kBaseVariant));
+  EXPECT_NO_THROW(engine.refresh_variant(kDefendedVariant));
 
   // A transform-wrapped *base* variant refreshes fine: weights re-transfer,
   // the preprocess stage is kept.
@@ -750,7 +798,7 @@ TEST(Engine, RejectPolicyShedsWhenQueueIsFullAndServesAfterDraining) {
   config.overload_policy = OverloadPolicy::kReject;
   InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
 
   const auto batch = random_batch(8, 71);
   const Options options{"gated"};
@@ -792,7 +840,7 @@ TEST(Engine, BlockPolicyBackpressuresUntilASlotFrees) {
   config.overload_policy = OverloadPolicy::kBlock;
   InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
 
   const auto batch = random_batch(4, 73);
   const Options options{"gated"};
@@ -830,7 +878,7 @@ TEST(Engine, BlockPolicyTimeoutShedsWithOverloadError) {
   config.block_timeout_ms = 40;
   InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
 
   const auto batch = random_batch(3, 77);
   const Options options{"gated"};
@@ -895,7 +943,7 @@ TEST(Engine, BlockAdmissionIsFifo) {
   config.overload_policy = OverloadPolicy::kBlock;
   InferenceEngine engine(config);
   auto gate = std::make_shared<StepGate>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
 
   const auto batch = random_batch(4, 83);
   Options options{"gated"};
@@ -1006,7 +1054,7 @@ struct CompletionProbe {
 TEST(Engine, CompletionRunsOnceOnAWorkerAfterStatsAndLatency) {
   InferenceEngine engine(small_engine_config());
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   const auto batch = random_batch(2, 101);
   const Options options{"gated"};
 
@@ -1047,7 +1095,7 @@ TEST(Engine, CompletionRunsOnceOnAWorkerAfterStatsAndLatency) {
 
 TEST(Engine, CompletionReceivesTheForwardsException) {
   InferenceEngine engine(small_engine_config());
-  engine.register_pipeline_variant("throwing", std::make_shared<ThrowingTransform>());
+  engine.register_variant("throwing", behind(std::make_shared<ThrowingTransform>()));
   const auto image = single_image(random_batch(1, 103), 0);
 
   CompletionProbe probe;
@@ -1099,7 +1147,7 @@ TEST(Engine, RefusedTrySubmitUnderRejectCountsOnceAndNeverCompletes) {
   config.overload_policy = OverloadPolicy::kReject;
   InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   const auto batch = random_batch(3, 109);
   const Options options{"gated"};
 
@@ -1129,7 +1177,7 @@ TEST(Engine, ParkedTrySubmitUnderBlockCountsOnceInBlocked) {
   config.overload_policy = OverloadPolicy::kBlock;
   InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
+  engine.register_variant("gated", behind(gate));
   const auto batch = random_batch(3, 113);
   const Options options{"gated"};
 
@@ -1168,7 +1216,7 @@ TEST(Engine, ArenaForwardPathMatchesUnscopedHeapPathBitwise) {
   // thread (no frame bound) takes the heap path. The arena must only move
   // bytes, never change arithmetic.
   const auto via_engine = engine.classify(batch);
-  const auto expected = engine.variant(kBaseVariant).logits(batch);
+  const auto expected = engine.replica_model(kBaseVariant, 0).logits(batch);
   for (std::int64_t i = 0; i < batch.dim(0); ++i) {
     for (std::int64_t k = 0; k < expected.dim(1); ++k) {
       EXPECT_EQ(via_engine[static_cast<std::size_t>(i)].logits[static_cast<std::size_t>(k)],
@@ -1267,47 +1315,66 @@ TEST(LatencyRing, EmptyAndInvalid) {
   EXPECT_DOUBLE_EQ(latency_quantile({3.0, 1.0, 2.0}, 1.0), 3.0);
 }
 
+TEST(LatencyRing, SummarizeMatchesTheQuantileOracle) {
+  util::Rng rng(11);
+  std::vector<double> samples;
+  for (int i = 0; i < 1001; ++i) samples.push_back(rng.uniform() * 1000.0);
+  double sum = 0.0;
+  for (const double v : samples) sum += v;
+  const LatencySnapshot snap = summarize(samples);
+  EXPECT_EQ(snap.count, 1001);
+  EXPECT_EQ(snap.window, 1001);
+  EXPECT_EQ(snap.mean_us, sum / 1001.0);
+  EXPECT_EQ(snap.max_us, *std::max_element(samples.begin(), samples.end()));
+  EXPECT_EQ(snap.p50_us, latency_quantile(samples, 0.50));
+  EXPECT_EQ(snap.p99_us, latency_quantile(samples, 0.99));
+  EXPECT_EQ(snap.p999_us, latency_quantile(samples, 0.999));
+  const LatencySnapshot empty = summarize({});
+  EXPECT_EQ(empty.count, 0);
+  EXPECT_EQ(empty.window, 0);
+  EXPECT_EQ(empty.max_us, 0.0);
+}
+
 // ---- load generator ---------------------------------------------------------
 
 TEST(LoadGen, ValidatesConfig) {
   InferenceEngine engine(small_engine_config());
   LoadConfig config;
   config.offered_rps = 0.0;
-  EXPECT_THROW(LoadGenerator(engine, config), std::invalid_argument);
+  EXPECT_THROW(LoadGenerator{config}, std::invalid_argument);
   config = {};
   config.requests = 0;
-  EXPECT_THROW(LoadGenerator(engine, config), std::invalid_argument);
+  EXPECT_THROW(LoadGenerator{config}, std::invalid_argument);
   config = {};
   config.arrival = ArrivalProcess::kOnOff;
   config.on_fraction = 1.5;
-  EXPECT_THROW(LoadGenerator(engine, config), std::invalid_argument);
+  EXPECT_THROW(LoadGenerator{config}, std::invalid_argument);
   config.on_fraction = 0.5;
   config.burst_cycle_s = 0.0;
-  EXPECT_THROW(LoadGenerator(engine, config), std::invalid_argument);
+  EXPECT_THROW(LoadGenerator{config}, std::invalid_argument);
   config = {};
   config.mix = {{kBaseVariant, 1.0}, {kBaseVariant, 2.0}};
-  EXPECT_THROW(LoadGenerator(engine, config), std::invalid_argument);
+  EXPECT_THROW(LoadGenerator{config}, std::invalid_argument);
   config = {};
   config.mix = {{"nope", 1.0}};
-  LoadGenerator generator(engine, config);  // builds fine...
-  EXPECT_THROW(generator.run(single_image(random_batch(1), 0)),
+  LoadGenerator generator(config);  // builds fine...
+  EXPECT_THROW(generator.run(engine, single_image(random_batch(1), 0)),
                std::invalid_argument);  // ...fails fast against this engine
 }
 
 TEST(LoadGen, ScheduleIsDeterministicPerSeed) {
-  InferenceEngine engine(small_engine_config());
   LoadConfig config;
   config.requests = 200;
   config.seed = 1234;
   config.mix = {{kBaseVariant, 3.0}, {kDefendedVariant, 1.0}};
-  const LoadGenerator a(engine, config), b(engine, config);
+  const LoadGenerator a(config), b(config);
   // Same seed ⇒ bitwise-identical arrivals and routing.
   ASSERT_EQ(a.arrival_offsets().size(), 200u);
   EXPECT_EQ(a.arrival_offsets(), b.arrival_offsets());
   EXPECT_EQ(a.variant_schedule(), b.variant_schedule());
 
   config.seed = 1235;
-  const LoadGenerator c(engine, config);
+  const LoadGenerator c(config);
   EXPECT_NE(a.arrival_offsets(), c.arrival_offsets());
 
   // Arrivals are sorted and the mix is honored in rough proportion.
@@ -1325,12 +1392,11 @@ TEST(LoadGen, ScheduleIsDeterministicPerSeed) {
 }
 
 TEST(LoadGen, UniformPacingAndOnOffWindows) {
-  InferenceEngine engine(small_engine_config());
   LoadConfig config;
   config.arrival = ArrivalProcess::kUniform;
   config.offered_rps = 50.0;
   config.requests = 10;
-  const LoadGenerator uniform(engine, config);
+  const LoadGenerator uniform(config);
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(uniform.arrival_offsets()[i], static_cast<double>(i) / 50.0);
   }
@@ -1340,7 +1406,7 @@ TEST(LoadGen, UniformPacingAndOnOffWindows) {
   config.requests = 400;
   config.on_fraction = 0.25;
   config.burst_cycle_s = 0.1;
-  const LoadGenerator bursty(engine, config);
+  const LoadGenerator bursty(config);
   const double on_len = 0.25 * 0.1;
   for (const double offset : bursty.arrival_offsets()) {
     const double in_cycle = std::fmod(offset, 0.1);
@@ -1357,8 +1423,8 @@ TEST(LoadGen, ReplayAccountsForEveryScheduledRequest) {
   config.requests = 50;
   config.seed = 7;
   config.mix = {{kBaseVariant, 1.0}, {kDefendedVariant, 1.0}};
-  LoadGenerator generator(engine, config);
-  const LoadReport report = generator.run(single_image(random_batch(1, 41), 0));
+  LoadGenerator generator(config);
+  const LoadReport report = generator.run(engine, single_image(random_batch(1, 41), 0));
 
   EXPECT_EQ(report.offered, 50);
   EXPECT_EQ(report.served + report.rejected + report.failed, 50);
