@@ -234,15 +234,20 @@ void BM_InputTransformSqueeze(benchmark::State& state) {
 }
 BENCHMARK(BM_InputTransformSqueeze);
 
+// Args: {kernel, batch}. Batch 1 is a served request alone, 64 a full
+// max_batch, 8 the historical shape the other transform benches share.
 void BM_InputTransformMedian(benchmark::State& state) {
   const auto kernel = static_cast<int>(state.range(0));
-  const auto x = random_nchw(8, 3, 32, 32, 22);
+  const std::int64_t batch = state.range(1);
+  const auto x = random_nchw(batch, 3, 32, 32, 22);
   for (auto _ : state) {
     benchmark::DoNotOptimize(defense::median_filter_nchw(x, kernel).data());
   }
-  state.SetItemsProcessed(state.iterations() * 8);
+  state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_InputTransformMedian)->Arg(3)->Arg(5);
+BENCHMARK(BM_InputTransformMedian)
+    ->ArgNames({"kernel", "batch"})
+    ->ArgsProduct({{3, 5}, {1, 8, 64}});
 
 void BM_InputTransformDctQuant(benchmark::State& state) {
   const auto x = random_nchw(8, 3, 32, 32, 23);

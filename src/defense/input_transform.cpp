@@ -169,6 +169,14 @@ Tensor median_filter_nchw(const Tensor& x, int kernel) {
   const std::int64_t ph = h + 2 * pad, pw = w + 2 * pad;
   const std::size_t taps = static_cast<std::size_t>(kernel) * static_cast<std::size_t>(kernel);
 
+  // 3x3 and 5x5 (the zoo's median3/median5) run a dispatched min/max
+  // network a full row at a time; it computes the same order statistic as
+  // nth_element (see the median contract in kernels/dispatch.h). Larger
+  // windows keep the window + nth_element loop.
+  const util::KernelTarget target = util::active_kernel_target();
+  const kernels::MedianRowFn median_row = kernel == 3   ? kernels::median3_row(target)
+                                          : kernel == 5 ? kernels::median5_row(target)
+                                                        : nullptr;
   Tensor out(x.shape());
   util::parallel_for(
       planes,
@@ -190,17 +198,9 @@ Tensor median_filter_nchw(const Tensor& x, int kernel) {
               padded[y * pw + xx] = src[sy * w + sx];
             }
           }
-          // 3x3 is the hot size (the paper's default): a dispatched
-          // min/max-network kernel computes the same order statistic as
-          // nth_element a full row at a time. Other sizes (and targets
-          // without a specialization) keep the window + nth_element path.
-          const kernels::Median3RowFn median3 =
-              kernel == 3 ? kernels::median3_row(util::active_kernel_target())
-                          : nullptr;
-          if (median3 != nullptr) {
+          if (median_row != nullptr) {
             for (std::int64_t y = 0; y < h; ++y) {
-              median3(padded + y * pw, padded + (y + 1) * pw,
-                      padded + (y + 2) * pw, dst + y * w, w);
+              median_row(padded + y * pw, pw, dst + y * w, w);
             }
             continue;
           }

@@ -96,7 +96,9 @@ std::vector<TransformSpec> standard_transforms();
 tensor::Tensor bit_depth_squeeze(const tensor::Tensor& x, int bits);
 /// Per-plane k×k spatial median with replicate (edge-clamp) padding, so every
 /// window holds exactly k*k samples and a constant plane stays constant at
-/// the borders. kernel odd and >= 1 (1 is the identity).
+/// the borders. kernel odd and >= 1 (1 is the identity). 3 and 5 run the
+/// kernels::median3_row/median5_row sorting networks (bitwise equal across
+/// kernel targets); larger kernels select with std::nth_element.
 tensor::Tensor median_filter_nchw(const tensor::Tensor& x, int kernel);
 /// JPEG-style blockwise compression of a [0,1] image: each channel plane is
 /// scaled to [-128,127], split into 8×8 blocks (edge-replicated past the

@@ -109,6 +109,20 @@ const Dct8Table& dct8_table() {
   return table;
 }
 
+void median3_row_scalar(const float* src, std::int64_t stride, float* dst,
+                        std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    dst[i] = median3_at<ScalarLanes>(src + i, stride);
+  }
+}
+
+void median5_row_scalar(const float* src, std::int64_t stride, float* dst,
+                        std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    dst[i] = median5_at<ScalarLanes>(src + i, stride);
+  }
+}
+
 }  // namespace detail
 
 const GemmMicrokernel& gemm_microkernel(util::KernelTarget target) {
@@ -167,7 +181,7 @@ WarpRowFn warp_row(util::KernelTarget target) {
   return warp_row_scalar;
 }
 
-Median3RowFn median3_row(util::KernelTarget target) {
+MedianRowFn median3_row(util::KernelTarget target) {
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
   if (target == util::KernelTarget::kAvx2) return detail::median3_row_avx2;
 #endif
@@ -175,7 +189,18 @@ Median3RowFn median3_row(util::KernelTarget target) {
   if (target == util::KernelTarget::kNeon) return detail::median3_row_neon;
 #endif
   (void)target;
-  return nullptr;  // callers keep the nth_element path
+  return detail::median3_row_scalar;
+}
+
+MedianRowFn median5_row(util::KernelTarget target) {
+#if defined(BLURNET_HAVE_AVX2_KERNELS)
+  if (target == util::KernelTarget::kAvx2) return detail::median5_row_avx2;
+#endif
+#if defined(BLURNET_HAVE_NEON_KERNELS)
+  if (target == util::KernelTarget::kNeon) return detail::median5_row_neon;
+#endif
+  (void)target;
+  return detail::median5_row_scalar;
 }
 
 Dct8x8Fn dct8x8(util::KernelTarget target, bool inverse) {

@@ -14,14 +14,17 @@
 //     deterministic; across targets GEMM low bits may differ. The fused
 //     targets are bitwise-modelled by linalg::sgemm_reference_fused.
 //   * gemm_row folds each lane exactly like its target's microtile.
-//   * everything else (tap rows, warp rows, median3, dct8x8) reproduces
-//     the scalar double-accumulation order exactly and is bitwise equal
-//     to scalar on every target.
+//   * tap rows, warp rows and dct8x8 reproduce the scalar
+//     double-accumulation order exactly and are bitwise equal to scalar on
+//     every target.
+//   * median3/median5 rows run one min/max compare-exchange network on
+//     every target (see "median rows" below) and are bitwise equal to
+//     scalar for every input, NaN and signed zeros included.
 //
-// A kernel accessor may return nullptr for a target with no specialized
-// implementation (e.g. warp on neon, gemm_row on scalar): callers must fall
-// back to their scalar path. gemm_microkernel() always returns a usable
-// descriptor.
+// gemm_row and dct8x8 may return nullptr for a target with no specialized
+// implementation: callers must fall back to their generic path. Every other
+// accessor is never null (a target without a specialization gets the scalar
+// kernel).
 #pragma once
 
 #include <cstdint>
@@ -101,19 +104,29 @@ using WarpRowFn = void (*)(const float* src, std::int64_t h, std::int64_t w,
 /// Never null.
 WarpRowFn warp_row(util::KernelTarget target);
 
-// ---- 3x3 median rows --------------------------------------------------------
+// ---- median rows ------------------------------------------------------------
 
-/// dst[i] = median of the 9 floats {r0,r1,r2}[i..i+2] for i in [0, count).
-/// r0/r1/r2 are rows of a replicate-padded plane (each at least count+2
-/// floats long). Exact order statistic for finite inputs (min/max sorting
-/// network), matching std::nth_element.
-using Median3RowFn = void (*)(const float* r0, const float* r1,
-                              const float* r2, float* dst,
-                              std::int64_t count);
+/// dst[i] = median of the k*k floats src[fy*stride + i + fx] (fy, fx < k)
+/// for i in [0, count): one output row of a k×k median over a
+/// replicate-padded plane whose rows are `stride` floats apart (each row
+/// at least count+k-1 floats long).
+///
+/// Contract: every target runs the same compare-exchange network (19
+/// exchanges for k = 3, 99 for k = 5), built from
+///   lo = a < b ? a : b,   hi = a < b ? b : a,
+/// so results are bitwise equal across targets for every input. On NaN-free
+/// windows the result is the exact middle order statistic, equal (==) to
+/// std::nth_element's; when ±0 tie, the sign of a zero result may differ
+/// from nth_element's. A NaN is unordered, so a window holding one yields
+/// some deterministic element of the window, not a NaN-aware median.
+using MedianRowFn = void (*)(const float* src, std::int64_t stride,
+                             float* dst, std::int64_t count);
 
-/// nullptr for targets without a specialization (callers keep the
-/// nth_element path).
-Median3RowFn median3_row(util::KernelTarget target);
+/// 3×3 rows (8 px per step on avx2, 4 on neon). Never null.
+MedianRowFn median3_row(util::KernelTarget target);
+
+/// 5×5 rows (8 px per step on avx2, 4 on neon). Never null.
+MedianRowFn median5_row(util::KernelTarget target);
 
 // ---- 8x8 DCT-II -------------------------------------------------------------
 

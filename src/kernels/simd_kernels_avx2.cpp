@@ -13,7 +13,8 @@
 //   * every other kernel reproduces the scalar double-precision op order
 //     exactly (no FMA, no reassociation) and is bit-equal to scalar; the
 //     scalar remainder loops below are verbatim copies of the reference
-//     loops so vector body + tail stay one numeric family. The global
+//     loops (the median rows call the scalar rows for their tails) so
+//     vector body + tail stay one numeric family. The global
 //     -ffp-contract=off keeps the compiler from fusing those tails even
 //     though this TU enables -mfma.
 #include "src/kernels/simd_kernels.h"
@@ -298,55 +299,42 @@ void warp_row_avx2(const float* src, std::int64_t h, std::int64_t w,
   }
 }
 
-// ---- 3x3 median rows --------------------------------------------------------
+// ---- median rows ------------------------------------------------------------
 
 namespace {
 
-inline void sort2(__m256& a, __m256& b) {
-  const __m256 lo = _mm256_min_ps(a, b);
-  b = _mm256_max_ps(a, b);
-  a = lo;
-}
-
-inline void sort2s(float& a, float& b) {
-  const float lo = a < b ? a : b;
-  b = a < b ? b : a;
-  a = lo;
-}
-
-// Paeth's 19-exchange median-of-9 network: p4 ends up the exact 5th order
-// statistic, so the result equals the nth_element path for finite inputs.
-template <typename V, void (*Op)(V&, V&)>
-inline V median9(V p0, V p1, V p2, V p3, V p4, V p5, V p6, V p7, V p8) {
-  Op(p1, p2); Op(p4, p5); Op(p7, p8);
-  Op(p0, p1); Op(p3, p4); Op(p6, p7);
-  Op(p1, p2); Op(p4, p5); Op(p7, p8);
-  Op(p0, p3); Op(p5, p8); Op(p4, p7);
-  Op(p3, p6); Op(p1, p4); Op(p2, p5);
-  Op(p4, p7); Op(p4, p2); Op(p6, p4);
-  Op(p4, p2);
-  return p4;
-}
+struct Avx2Lanes {
+  using V = __m256;
+  static __m256 load(const float* p) { return _mm256_loadu_ps(p); }
+  // min_ps(x, y) is `x < y ? x : y` and max_ps(x, y) is `x > y ? x : y`
+  // (the second operand on NaN or equal zeros), so min(a, b) and max(b, a)
+  // are the scalar compare-exchange lane for lane, NaN and ±0 included.
+  // max(a, b) would not be: it hands back b where the scalar keeps a.
+  static void sort2(__m256& a, __m256& b) {
+    const __m256 lo = _mm256_min_ps(a, b);
+    b = _mm256_max_ps(b, a);
+    a = lo;
+  }
+};
 
 }  // namespace
 
-void median3_row_avx2(const float* r0, const float* r1, const float* r2,
-                      float* dst, std::int64_t count) {
+void median3_row_avx2(const float* src, std::int64_t stride, float* dst,
+                      std::int64_t count) {
   std::int64_t i = 0;
   for (; i + 8 <= count; i += 8) {
-    const __m256 m = median9<__m256, sort2>(
-        _mm256_loadu_ps(r0 + i), _mm256_loadu_ps(r0 + i + 1),
-        _mm256_loadu_ps(r0 + i + 2), _mm256_loadu_ps(r1 + i),
-        _mm256_loadu_ps(r1 + i + 1), _mm256_loadu_ps(r1 + i + 2),
-        _mm256_loadu_ps(r2 + i), _mm256_loadu_ps(r2 + i + 1),
-        _mm256_loadu_ps(r2 + i + 2));
-    _mm256_storeu_ps(dst + i, m);
+    _mm256_storeu_ps(dst + i, median3_at<Avx2Lanes>(src + i, stride));
   }
-  for (; i < count; ++i) {
-    dst[i] = median9<float, sort2s>(r0[i], r0[i + 1], r0[i + 2], r1[i],
-                                    r1[i + 1], r1[i + 2], r2[i], r2[i + 1],
-                                    r2[i + 2]);
+  median3_row_scalar(src + i, stride, dst + i, count - i);
+}
+
+void median5_row_avx2(const float* src, std::int64_t stride, float* dst,
+                      std::int64_t count) {
+  std::int64_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    _mm256_storeu_ps(dst + i, median5_at<Avx2Lanes>(src + i, stride));
   }
+  median5_row_scalar(src + i, stride, dst + i, count - i);
 }
 
 // ---- 8x8 DCT-II -------------------------------------------------------------

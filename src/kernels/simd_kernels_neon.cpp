@@ -82,52 +82,42 @@ void tap_row_neon(const float* src, std::int64_t stride, const float* ker,
   }
 }
 
-// ---- 3x3 median rows --------------------------------------------------------
+// ---- median rows ------------------------------------------------------------
 
 namespace {
 
-inline void sort2(float32x4_t& a, float32x4_t& b) {
-  const float32x4_t lo = vminq_f32(a, b);
-  b = vmaxq_f32(a, b);
-  a = lo;
-}
-
-inline void sort2s(float& a, float& b) {
-  const float lo = a < b ? a : b;
-  b = a < b ? b : a;
-  a = lo;
-}
-
-// Paeth's 19-exchange median-of-9 network (same as the AVX2 TU).
-template <typename V, void (*Op)(V&, V&)>
-inline V median9(V p0, V p1, V p2, V p3, V p4, V p5, V p6, V p7, V p8) {
-  Op(p1, p2); Op(p4, p5); Op(p7, p8);
-  Op(p0, p1); Op(p3, p4); Op(p6, p7);
-  Op(p1, p2); Op(p4, p5); Op(p7, p8);
-  Op(p0, p3); Op(p5, p8); Op(p4, p7);
-  Op(p3, p6); Op(p1, p4); Op(p2, p5);
-  Op(p4, p7); Op(p4, p2); Op(p6, p4);
-  Op(p4, p2);
-  return p4;
-}
+struct NeonLanes {
+  using V = float32x4_t;
+  static float32x4_t load(const float* p) { return vld1q_f32(p); }
+  // vminq/vmaxq propagate NaN and order -0 below +0, unlike the scalar
+  // `a < b ? a : b`; select on the a < b mask instead so every lane makes
+  // the scalar compare-exchange's choice.
+  static void sort2(float32x4_t& a, float32x4_t& b) {
+    const uint32x4_t lt = vcltq_f32(a, b);
+    const float32x4_t lo = vbslq_f32(lt, a, b);
+    b = vbslq_f32(lt, b, a);
+    a = lo;
+  }
+};
 
 }  // namespace
 
-void median3_row_neon(const float* r0, const float* r1, const float* r2,
-                      float* dst, std::int64_t count) {
+void median3_row_neon(const float* src, std::int64_t stride, float* dst,
+                      std::int64_t count) {
   std::int64_t i = 0;
   for (; i + 4 <= count; i += 4) {
-    const float32x4_t m = median9<float32x4_t, sort2>(
-        vld1q_f32(r0 + i), vld1q_f32(r0 + i + 1), vld1q_f32(r0 + i + 2),
-        vld1q_f32(r1 + i), vld1q_f32(r1 + i + 1), vld1q_f32(r1 + i + 2),
-        vld1q_f32(r2 + i), vld1q_f32(r2 + i + 1), vld1q_f32(r2 + i + 2));
-    vst1q_f32(dst + i, m);
+    vst1q_f32(dst + i, median3_at<NeonLanes>(src + i, stride));
   }
-  for (; i < count; ++i) {
-    dst[i] = median9<float, sort2s>(r0[i], r0[i + 1], r0[i + 2], r1[i],
-                                    r1[i + 1], r1[i + 2], r2[i], r2[i + 1],
-                                    r2[i + 2]);
+  median3_row_scalar(src + i, stride, dst + i, count - i);
+}
+
+void median5_row_neon(const float* src, std::int64_t stride, float* dst,
+                      std::int64_t count) {
+  std::int64_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    vst1q_f32(dst + i, median5_at<NeonLanes>(src + i, stride));
   }
+  median5_row_scalar(src + i, stride, dst + i, count - i);
 }
 
 }  // namespace blurnet::kernels::detail

@@ -259,6 +259,56 @@ TEST(InputTransform, MedianKeepsConstantPlanesAndRemovesSalt) {
   EXPECT_THROW(median_filter_nchw(x, 2), std::invalid_argument);
 }
 
+// Hand-written reference for median_filter_nchw: replicate-pad by clamping
+// each tap's coordinates into the plane, then nth_element over the k*k window.
+Tensor median_oracle(const Tensor& x, int k) {
+  const std::int64_t planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
+  Tensor out(x.shape());
+  std::vector<float> window;
+  for (std::int64_t p = 0; p < planes; ++p) {
+    const float* src = x.data() + p * h * w;
+    for (std::int64_t y = 0; y < h; ++y) {
+      for (std::int64_t xx = 0; xx < w; ++xx) {
+        window.clear();
+        for (int fy = -k / 2; fy <= k / 2; ++fy) {
+          for (int fx = -k / 2; fx <= k / 2; ++fx) {
+            const std::int64_t sy = std::clamp<std::int64_t>(y + fy, 0, h - 1);
+            const std::int64_t sx = std::clamp<std::int64_t>(xx + fx, 0, w - 1);
+            window.push_back(src[sy * w + sx]);
+          }
+        }
+        const auto mid = window.begin() + static_cast<std::ptrdiff_t>(window.size() / 2);
+        std::nth_element(window.begin(), mid, window.end());
+        out.data()[p * h * w + y * w + xx] = *mid;
+      }
+    }
+  }
+  return out;
+}
+
+// The 3x3/5x5 medians run a sorting network on every target, so agreement
+// across targets alone no longer ties them to a median: hold each target to
+// the nth_element oracle directly, on a ragged 18x21 batch (partial vector
+// tiles, scalar tails) and the paper's 32x32.
+TEST(InputTransform, MedianFilterMatchesNthElementOracleOnEveryTarget) {
+  util::Rng rng(17);
+  for (const Shape& shape : {Shape::nchw(2, 3, 18, 21), Shape::nchw(2, 3, 32, 32)}) {
+    const Tensor x = Tensor::rand_uniform(shape, rng);
+    for (const int k : {3, 5}) {
+      const Tensor expected = median_oracle(x, k);
+      for (const auto target : blurnet::testing::available_kernel_targets()) {
+        blurnet::testing::ScopedKernelTarget scoped(target);
+        const Tensor got = median_filter_nchw(x, k);
+        for (std::int64_t i = 0; i < got.numel(); ++i) {
+          ASSERT_EQ(got[i], expected[i])
+              << "median" << k << " " << shape[2] << "x" << shape[3] << " on "
+              << util::kernel_target_name(target) << " elem " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(InputTransform, DctQuantRoundTripIsBoundedAndInRange) {
   util::Rng rng(7);
   const Tensor x = Tensor::rand_uniform(Shape::nchw(2, 3, 32, 32), rng);
@@ -300,11 +350,11 @@ TEST(InputTransform, ApplyAcceptsChwAndMatchesBatchBitwise) {
   }
 }
 
-// The median-of-9 min/max network and the table-driven 8x8 DCT are
-// kernel-dispatched; both reproduce the scalar paths exactly (the median
-// network computes the exact 5th order statistic, the SIMD DCT keeps the
-// scalar fold order), so the transforms must be bitwise identical across
-// every available dispatch target.
+// The 3x3/5x5 median networks and the table-driven 8x8 DCT are
+// kernel-dispatched; both reproduce the scalar paths exactly (every target
+// runs the same compare-exchange network, the SIMD DCT keeps the scalar
+// fold order), so the transforms must be bitwise identical across every
+// available dispatch target.
 TEST(KernelDispatch, InputTransformsBitwiseIdenticalAcrossTargets) {
   util::Rng rng(13);
   // 18x21: not a multiple of the 8-wide median vector width or the 8x8 DCT

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -93,10 +97,12 @@ TEST(KernelTable, GemmMicrokernelDescriptorsAreSane) {
   // The row kernel is an optional specialization: scalar has none, so the
   // GEMM driver keeps the microtile path there.
   EXPECT_EQ(kernels::gemm_row(KernelTarget::kScalar), nullptr);
-  // tap/warp dispatch can never come back null; callers rely on it.
+  // tap/warp/median dispatch can never come back null; callers rely on it.
   for (const auto target : available_kernel_targets()) {
     EXPECT_NE(kernels::tap_row(target), nullptr);
     EXPECT_NE(kernels::warp_row(target), nullptr);
+    EXPECT_NE(kernels::median3_row(target), nullptr);
+    EXPECT_NE(kernels::median5_row(target), nullptr);
   }
 }
 
@@ -131,38 +137,98 @@ TEST(KernelTable, TapRowMatchesScalarBitwise) {
   }
 }
 
-// Direct unit check of the median3 row kernels against nth_element: the
-// min/max network must produce the exact 5th order statistic.
-TEST(KernelTable, Median3RowMatchesNthElement) {
-  util::Rng rng(103);
-  for (const std::int64_t count : {std::int64_t{1}, std::int64_t{7},
-                                   std::int64_t{8}, std::int64_t{21}}) {
-    std::vector<float> r0, r1, r2;
-    for (std::int64_t i = 0; i < count + 2; ++i) {
-      r0.push_back(static_cast<float>(rng.normal()));
-      r1.push_back(static_cast<float>(rng.normal()));
-      r2.push_back(static_cast<float>(rng.normal()));
-    }
-    std::vector<float> expected(static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i) {
-      std::vector<float> window;
-      for (int d = 0; d < 3; ++d) {
-        window.push_back(r0[static_cast<std::size_t>(i + d)]);
-        window.push_back(r1[static_cast<std::size_t>(i + d)]);
-        window.push_back(r2[static_cast<std::size_t>(i + d)]);
+kernels::MedianRowFn median_row(KernelTarget target, int k) {
+  return k == 3 ? kernels::median3_row(target) : kernels::median5_row(target);
+}
+
+// The oracle: std::nth_element's middle order statistic of each k×k window
+// along a strip of k rows `stride` floats apart.
+std::vector<float> nth_element_medians(const std::vector<float>& src,
+                                       std::int64_t stride, int k,
+                                       std::int64_t count) {
+  std::vector<float> out;
+  std::vector<float> window;
+  for (std::int64_t i = 0; i < count; ++i) {
+    window.clear();
+    for (int fy = 0; fy < k; ++fy) {
+      for (int fx = 0; fx < k; ++fx) {
+        window.push_back(src[static_cast<std::size_t>(fy * stride + i + fx)]);
       }
-      std::nth_element(window.begin(), window.begin() + 4, window.end());
-      expected[static_cast<std::size_t>(i)] = window[4];
     }
-    for (const auto target : available_kernel_targets()) {
-      const kernels::Median3RowFn fn = kernels::median3_row(target);
-      if (fn == nullptr) continue;  // target keeps the nth_element path
-      std::vector<float> got(static_cast<std::size_t>(count), -999.0f);
-      fn(r0.data(), r1.data(), r2.data(), got.data(), count);
-      for (std::int64_t i = 0; i < count; ++i) {
-        ASSERT_EQ(got[static_cast<std::size_t>(i)],
-                  expected[static_cast<std::size_t>(i)])
-            << kernel_target_name(target) << " count " << count << " elem " << i;
+    const auto mid = window.begin() + static_cast<std::ptrdiff_t>(window.size() / 2);
+    std::nth_element(window.begin(), mid, window.end());
+    out.push_back(*mid);
+  }
+  return out;
+}
+
+// Every target's k×k median row must produce nth_element's exact order
+// statistic on distinct values, heavy ties (8 quantized levels) and
+// constant strips. The counts straddle the 8-px (avx2) and 4-px (neon)
+// vector bodies and their scalar tails.
+void expect_median_rows_match_nth_element(int k, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::vector<std::function<float()>> draws = {
+      [&] { return static_cast<float>(rng.normal()); },
+      [&] { return static_cast<float>(rng.uniform_int(0, 7)) / 7.0f; },
+      [] { return 0.25f; }};
+  for (const std::int64_t count : {1, 7, 8, 9, 15, 16, 17, 40}) {
+    const std::int64_t stride = count + k - 1;
+    for (std::size_t d = 0; d < draws.size(); ++d) {
+      std::vector<float> src(static_cast<std::size_t>(stride * k));
+      for (auto& v : src) v = draws[d]();
+      const std::vector<float> expected = nth_element_medians(src, stride, k, count);
+      for (const auto target : available_kernel_targets()) {
+        std::vector<float> got(static_cast<std::size_t>(count), -999.0f);
+        median_row(target, k)(src.data(), stride, got.data(), count);
+        for (std::int64_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                    expected[static_cast<std::size_t>(i)])
+              << "median" << k << " on " << kernel_target_name(target)
+              << " draw " << d << " count " << count << " elem " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTable, Median3RowMatchesNthElement) {
+  expect_median_rows_match_nth_element(3, 103);
+}
+
+TEST(KernelTable, Median5RowMatchesNthElement) {
+  expect_median_rows_match_nth_element(5, 109);
+}
+
+// The network's compare-exchange is `lo = a < b ? a : b, hi = a < b ? b : a`
+// on every target, so even where the median is undefined (NaN) or ties
+// differ in sign (±0) each SIMD target must reproduce the scalar network
+// bit for bit. Windows draw from a small alphabet so NaN, ±0 and ±inf
+// meet each other in every slot of the network.
+TEST(KernelTable, MedianRowsBitwiseAcrossTargetsOnNanAndSignedZero) {
+  const float alphabet[] = {std::numeric_limits<float>::quiet_NaN(),
+                            0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            1.0f,
+                            -1.0f,
+                            0.5f};
+  util::Rng rng(113);
+  constexpr std::int64_t count = 40;
+  for (const int k : {3, 5}) {
+    const std::int64_t stride = count + k - 1;
+    for (int trial = 0; trial < 500; ++trial) {
+      std::vector<float> src(static_cast<std::size_t>(stride * k));
+      for (auto& v : src) v = alphabet[rng.uniform_index(std::size(alphabet))];
+      std::vector<float> expected(static_cast<std::size_t>(count));
+      median_row(KernelTarget::kScalar, k)(src.data(), stride, expected.data(), count);
+      for (const auto target : available_kernel_targets()) {
+        std::vector<float> got(static_cast<std::size_t>(count));
+        median_row(target, k)(src.data(), stride, got.data(), count);
+        ASSERT_EQ(std::memcmp(got.data(), expected.data(), got.size() * sizeof(float)), 0)
+            << "median" << k << " on " << kernel_target_name(target) << " trial "
+            << trial;
       }
     }
   }
