@@ -26,15 +26,21 @@ void require_same_shape(const Variable& a, const Variable& b, const char* op) {
   }
 }
 
-// Per-thread scratch reused across inference-only convolution calls, so a
-// warm serving thread runs the whole conv forward without touching the
-// allocator. conv2d pads one image at a time into `padded` (the depthwise
-// kernel reuses it for its padded batch, sequentially) and packs one
+// Whether a layer op over input x, weights w and optional bias b must build
+// a graph node.
+bool needs_grad(const Variable& x, const Variable& w, const Variable& b) {
+  return grad_enabled() &&
+         (x.requires_grad() || w.requires_grad() || (b.defined() && b.requires_grad()));
+}
+
+// Per-thread scratch reused across convolution forwards (with or without
+// gradients), so a warm serving thread runs the whole conv forward without
+// touching the allocator. conv2d pads one image at a time into `padded` (the
+// depthwise kernel reuses it for its padded batch, sequentially) and packs one
 // kNr-wide column strip of the implicit im2col matrix into `strip`; the
 // calling thread also packs the weights into `packed_w`, which every pool
-// lane then reads for the duration of the parallel region. Gradient-tracking
-// calls cannot use this: their column matrix must outlive the forward for
-// the backward GEMMs.
+// lane then reads for the duration of the parallel region. Nothing here
+// outlives the call: the conv backward rebuilds its own im2col matrix.
 struct ConvScratch {
   std::vector<float> padded;
   std::vector<float> packed_w;
@@ -119,7 +125,7 @@ void pack_conv_strip(const float* src, const ConvGeometry& g, std::int64_t j0,
 // Per output element this is the explicit GEMM's exact float program — the
 // same microtile over the same packed operands, ascending k split at kKc,
 // the first block stored and later blocks added — with the bias added after
-// the last block, as the explicit path added it after the GEMM.
+// the last block, i.e. after the whole GEMM.
 void conv_image_forward(const float* image, const ConvGeometry& g, int pad,
                         const float* packed_w, const kernels::GemmMicrokernel& mk,
                         const float* bias, float* out) {
@@ -368,9 +374,6 @@ Variable matmul(const Variable& a, const Variable& b) {
 }
 
 Variable dense(const Variable& x, const Variable& w, const Variable& b) {
-  const bool needs_grad =
-      grad_enabled() && (x.requires_grad() || w.requires_grad() ||
-                         (b.defined() && b.requires_grad()));
   // One arithmetic path for both modes, so the inference result is bitwise
   // equal to the graph path by construction.
   auto compute = [&] {
@@ -386,11 +389,11 @@ Variable dense(const Variable& x, const Variable& w, const Variable& b) {
     }
     return out;
   };
-  if (!needs_grad) {
-    // Inference-only path mirroring the conv2d/depthwise fast paths: no graph
-    // node is built and the closure never retains x/w/b. Paired with
-    // flatten2d's zero-copy fast path, the classifier head adds no autograd
-    // allocations to a serving forward.
+  if (!needs_grad(x, w, b)) {
+    // Inference-only path, as in conv2d/depthwise: no graph node is built
+    // and the closure never retains x/w/b. Paired with flatten2d's zero-copy
+    // fast path, the classifier head adds no autograd allocations to a
+    // serving forward.
     return Variable::constant(compute());
   }
 
@@ -417,6 +420,10 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
   if (x.shape().rank() != 4 || w.shape().rank() != 4) {
     throw std::invalid_argument("conv2d: x must be NCHW, w must be [F,C,kh,kw]");
   }
+  if (stride < 1 || pad < 0) {
+    throw std::invalid_argument("conv2d: need stride >= 1 and pad >= 0 (got stride " +
+                                std::to_string(stride) + ", pad " + std::to_string(pad) + ")");
+  }
   const std::int64_t n = x.shape()[0], c = x.shape()[1];
   const std::int64_t f = w.shape()[0];
   const int kh = static_cast<int>(w.shape()[2]);
@@ -433,61 +440,41 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
   if (oh <= 0 || ow <= 0) throw std::invalid_argument("conv2d: kernel larger than input");
   const std::int64_t patch = c * kh * kw;
 
-  const bool needs_grad =
-      grad_enabled() && (x.requires_grad() || w.requires_grad() ||
-                         (b.defined() && b.requires_grad()));
-  if (!needs_grad) {
-    // Inference-only path: an implicit GEMM, one image at a time, so no
-    // column matrix is written and read back. The weights are packed once
-    // per call; each image is padded into per-thread scratch and its column
-    // strips are packed straight from the padded planes into an L1-resident
-    // tile. Parallel over images only, so a batch-1 call runs on its
-    // calling thread: fanning one image out over the pool did not pay at
-    // batch 1 (README "Implicit-GEMM conv forward").
-    const kernels::GemmMicrokernel& mk =
-        kernels::gemm_microkernel(util::active_kernel_target());
-    const ConvGeometry g{c, hp, wp, kh, kw, stride, oh, ow, f, patch};
-    auto& packed = conv_scratch().packed_w;
-    packed.resize(static_cast<std::size_t>((f + mk.mr - 1) / mk.mr * mk.mr * patch));
-    pack_conv_weights(w.value().data(), f, patch, mk.mr, packed.data());
-    const float* packed_w = packed.data();
-    const float* bias = b.defined() ? b.value().data() : nullptr;
-    const float* xv = x.value().data();
-    Tensor out(Shape::nchw(n, f, oh, ow));
-    util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
-      for (std::int64_t in = n0; in < n1; ++in) {
-        conv_image_forward(xv + in * c * h * wdim, g, pad, packed_w, mk, bias,
-                           out.data() + in * f * oh * ow);
-      }
-    }, /*min_chunk=*/1);
-    return Variable::constant(std::move(out));
-  }
-
-  const Tensor xp = tensor::pad2d(x.value(), pad, pad);
-  const Tensor cols = tensor::im2col(xp, kh, kw, stride, stride);  // [n, patch, oh*ow]
+  // One forward for both modes: an implicit GEMM, one image at a time, so no
+  // column matrix is written and read back. The weights are packed once per
+  // call; each image is padded into per-thread scratch and its column strips
+  // are packed straight from the padded planes into an L1-resident tile.
+  // Parallel over images only, so a batch-1 call runs on its calling thread:
+  // fanning one image out over the pool did not pay at batch 1 (README
+  // "Implicit-GEMM conv forward").
+  const kernels::GemmMicrokernel& mk = kernels::gemm_microkernel(util::active_kernel_target());
+  const ConvGeometry g{c, hp, wp, kh, kw, stride, oh, ow, f, patch};
+  auto& packed = conv_scratch().packed_w;
+  packed.resize(static_cast<std::size_t>((f + mk.mr - 1) / mk.mr * mk.mr * patch));
+  pack_conv_weights(w.value().data(), f, patch, mk.mr, packed.data());
+  const float* packed_w = packed.data();
+  const float* bias = b.defined() ? b.value().data() : nullptr;
+  const float* xv = x.value().data();
   Tensor out(Shape::nchw(n, f, oh, ow));
-  const float* wdata = w.value().data();
   util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
     for (std::int64_t in = n0; in < n1; ++in) {
-      linalg::sgemm_nn(f, oh * ow, patch, wdata, cols.data() + in * patch * oh * ow,
-                       out.data() + in * f * oh * ow, /*accumulate=*/false);
+      conv_image_forward(xv + in * c * h * wdim, g, pad, packed_w, mk, bias,
+                         out.data() + in * f * oh * ow);
     }
   }, /*min_chunk=*/1);
-  if (b.defined()) {
-    const float* bias = b.value().data();
-    for (std::int64_t in = 0; in < n; ++in)
-      for (std::int64_t ic = 0; ic < f; ++ic) {
-        float* plane = out.data() + (in * f + ic) * oh * ow;
-        for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += bias[ic];
-      }
-  }
+
+  if (!needs_grad(x, w, b)) return Variable::constant(std::move(out));
 
   return make_op(
       "conv2d", std::move(out), {x, w, b},
-      [x, w, b, cols, n, c, f, kh, kw, stride, pad, hp, wp, oh, ow, patch](Node& node) mutable {
+      [x, w, b, n, c, f, kh, kw, stride, pad, hp, wp, oh, ow, patch](Node& node) mutable {
         const Tensor& g = node.grad();  // [n, f, oh, ow]
         if (w.requires_grad()) {
-          // dW[f, patch] accumulates G_in * Cols_in^T across the batch.
+          // dW[f, patch] accumulates G_in * Cols_in^T across the batch. The
+          // column matrix is built here, not kept from the forward, so only
+          // a backward that needs dW pays for it.
+          const Tensor cols =
+              tensor::im2col(tensor::pad2d(x.value(), pad, pad), kh, kw, stride, stride);
           Tensor dw(w.value().shape());
           float* dwp = dw.data();
           for (std::int64_t in = 0; in < n; ++in) {
@@ -532,70 +519,34 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
   const int kw = static_cast<int>(w.shape()[2]);
   const int ph = kh / 2, pw = kw / 2;
 
-  const bool needs_grad =
-      grad_enabled() && (x.requires_grad() || w.requires_grad() ||
-                         (b.defined() && b.requires_grad()));
-  if (!needs_grad) {
-    // Inference-only path, mirroring the conv2d fast path: pad the input into
-    // per-thread scratch once so the tap loops need no border checks. The
-    // padding contributes exact ±0.0 terms, which leave every partial sum
-    // bitwise unchanged, so this path matches the checked path bit for bit.
-    const std::int64_t hp = h + 2 * ph, wp = wdim + 2 * pw;
-    auto& scratch = conv_scratch();
-    scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
-    tensor::pad2d_into(x.value().data(), n * c, h, wdim, ph, pw, scratch.padded.data());
-    const float* padded = scratch.padded.data();
-    Tensor out(x.shape());
-    const float* wv = w.value().data();
-    // The per-row tap loop is kernel-dispatched; every target keeps the
-    // double accumulator and ascending (fy, fx) tap order, so results are
-    // bitwise identical across targets (and to the checked path).
-    const kernels::TapRowFn taps =
-        kernels::tap_row(util::active_kernel_target());
-    util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
-      for (std::int64_t p = p0; p < p1; ++p) {
-        const std::int64_t ic = p % c;
-        const float* src = padded + p * hp * wp;
-        const float* ker = wv + ic * kh * kw;
-        float* dst = out.data() + p * h * wdim;
-        for (std::int64_t y = 0; y < h; ++y) {
-          taps(src + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
-        }
-      }
-    }, /*min_chunk=*/1);
-    if (b.defined()) out = tensor::broadcast_bias_nchw(out, b.value());
-    return Variable::constant(std::move(out));
-  }
-
+  // One forward for both modes: pad the input into per-thread scratch once
+  // so the tap loops need no border checks. The padding contributes exact
+  // ±0.0 terms, which leave every partial sum bitwise unchanged.
+  const std::int64_t hp = h + 2 * ph, wp = wdim + 2 * pw;
+  auto& scratch = conv_scratch();
+  scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
+  tensor::pad2d_into(x.value().data(), n * c, h, wdim, ph, pw, scratch.padded.data());
+  const float* padded = scratch.padded.data();
   Tensor out(x.shape());
-  const float* xv = x.value().data();
   const float* wv = w.value().data();
+  // The per-row tap loop is kernel-dispatched; every target keeps the
+  // double accumulator and ascending (fy, fx) tap order, so results are
+  // bitwise identical across targets.
+  const kernels::TapRowFn taps = kernels::tap_row(util::active_kernel_target());
   util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
     for (std::int64_t p = p0; p < p1; ++p) {
       const std::int64_t ic = p % c;
-      const float* src = xv + p * h * wdim;
+      const float* src = padded + p * hp * wp;
       const float* ker = wv + ic * kh * kw;
       float* dst = out.data() + p * h * wdim;
       for (std::int64_t y = 0; y < h; ++y) {
-        for (std::int64_t xx = 0; xx < wdim; ++xx) {
-          double acc = 0.0;
-          for (int fy = 0; fy < kh; ++fy) {
-            const std::int64_t sy = y + fy - ph;
-            if (sy < 0 || sy >= h) continue;
-            for (int fx = 0; fx < kw; ++fx) {
-              const std::int64_t sx = xx + fx - pw;
-              if (sx < 0 || sx >= wdim) continue;
-              acc += static_cast<double>(ker[fy * kw + fx]) * src[sy * wdim + sx];
-            }
-          }
-          dst[y * wdim + xx] = static_cast<float>(acc);
-        }
+        taps(src + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
       }
     }
   }, /*min_chunk=*/1);
-  if (b.defined()) {
-    out = tensor::broadcast_bias_nchw(out, b.value());
-  }
+  if (b.defined()) out = tensor::broadcast_bias_nchw(out, b.value());
+
+  if (!needs_grad(x, w, b)) return Variable::constant(std::move(out));
 
   return make_op(
       "depthwise_conv2d", std::move(out), {x, w, b},

@@ -51,7 +51,8 @@ Variable dense(const Variable& x, const Variable& w, const Variable& b);
 
 // ---- convolutions -----------------------------------------------------------
 /// Standard convolution: x NCHW, w [F,C,kh,kw], b [F] (optional, may be
-/// undefined). Symmetric zero padding `pad`, square stride.
+/// undefined). Symmetric zero padding `pad`, square stride. Throws
+/// std::invalid_argument for stride < 1 or pad < 0.
 Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int stride,
                 int pad);
 /// Depthwise convolution with same padding, stride 1: w [C,kh,kw], optional

@@ -76,7 +76,7 @@ GemmRowFn gemm_row(util::KernelTarget target);
 /// dst[i] = (float) sum over (fy<kh, fx<kw), ascending, of
 ///          (double)ker[fy*kw + fx] * src[fy*stride + i + fx]
 /// for i in [0, count). Exactly the interior loop of signal::filter_plane
-/// and the padded depthwise fast path: double accumulator, taps in
+/// and the padded depthwise forward: double accumulator, taps in
 /// ascending (fy, fx) order, one final round to float.
 using TapRowFn = void (*)(const float* src, std::int64_t stride,
                           const float* ker, int kh, int kw, float* dst,

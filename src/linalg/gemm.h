@@ -1,11 +1,11 @@
 // Single-precision GEMM shared by every matmul / convolution path.
 //
 // One packed, cache-blocked, register-tiled kernel sits behind
-// tensor::matmul{,_tn,_nt}, the graph-path conv forward im2col GEMM, the
-// conv backward accumulate GEMMs and the Tikhonov filter-plane GEMMs; the
-// inference conv forward (autograd::conv2d) drives the same microtile over
-// the same panel layouts as an implicit GEMM, so the whole system has
-// exactly one set of GEMM numerics.
+// tensor::matmul{,_tn,_nt}, the conv backward GEMMs (dW over an explicit
+// im2col matrix, dX before col2im) and the Tikhonov filter-plane GEMMs; the
+// conv forward (autograd::conv2d, with or without gradients) drives the same
+// microtile over the same panel layouts as an implicit GEMM, so the whole
+// system has exactly one set of GEMM numerics.
 //
 // Numeric contract (identical for every transpose variant):
 //   * float32 accumulation, no widening to double;

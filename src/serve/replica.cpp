@@ -59,7 +59,7 @@ std::vector<Prediction> Replica::run(const Tensor& batch, int max_batch, bool qu
   // nothing escapes the frame. The arena only changes where bytes live, not
   // any arithmetic: outputs stay bitwise identical to the heap path.
   util::ArenaScope frame(serving_arena());
-  // Bound each forward pass (and therefore the im2col scratch footprint) by
+  // Bound each forward pass (and therefore the activation footprint) by
   // max_batch: callers may hand classify() a whole dataset. Per-image results
   // are independent, so slicing cannot change them.
   const std::int64_t n = batch.dim(0);

@@ -4,10 +4,11 @@
 //
 // Replicas exist so the engine can run several forward passes of the same
 // variant at once: each replica's worker computes its coalesced batch on its
-// own thread (its convolutions keep per-thread im2col/pad scratch warm) while
-// parallel_for pins the intra-batch work to the shared process pool — the
-// pool serves whichever replica grabs it first and concurrent regions fall
-// back inline, so replicas never deadlock and never share mutable state.
+// own thread (its convolutions keep per-thread pad/column-strip scratch
+// warm) while parallel_for pins the intra-batch work to the shared process
+// pool — the pool serves whichever replica grabs it first and concurrent
+// regions fall back inline, so replicas never deadlock and never share
+// mutable state.
 //
 // A replica's weights are deep clones (LisaCnn::clone_with_config) of the
 // engine's base model, so every replica of a variant is bitwise identical and

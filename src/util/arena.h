@@ -1,10 +1,10 @@
 // Per-request bump-pointer arena behind the serving hot path.
 //
-// The inference forward chain (preprocess -> pad -> im2col -> GEMM -> logits)
-// used to heap-allocate every intermediate tensor and autograd node on every
-// request. The conv kernels already keep their big pad/column scratch warm per
-// thread; this file generalizes that idea to *every* transient allocation of a
-// request:
+// The inference forward chain (preprocess -> pad -> implicit-GEMM conv ->
+// logits) used to heap-allocate every intermediate tensor and autograd node on
+// every request. The conv kernels already keep their pad/column-strip scratch
+// warm per thread; this file generalizes that idea to *every* transient
+// allocation of a request:
 //
 //   * Arena        — a chain of malloc'd blocks handed out by pointer bump.
 //                    Allocation is an add + compare; freeing is a no-op; the

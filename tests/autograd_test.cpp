@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/autograd/ops.h"
 #include "src/autograd/variable.h"
+#include "src/linalg/gemm.h"
 #include "src/signal/dct.h"
 #include "src/signal/kernels.h"
 #include "src/tensor/ops.h"
@@ -36,8 +39,8 @@ TEST(Variable, NoGradGuardDisablesGraphBuilding) {
   auto w = Variable::leaf(Tensor::scalar(2.0f), true);
   {
     // Under the guard, ops over requires-grad leaves must come out as plain
-    // constants — this is what makes the conv2d inference fast path (and the
-    // graph-free serving forward) reachable with trained parameters.
+    // constants — this is what makes the graph-free serving forward
+    // reachable with trained parameters.
     NoGradGuard no_grad;
     EXPECT_FALSE(grad_enabled());
     auto y = mul(w, w);
@@ -49,11 +52,79 @@ TEST(Variable, NoGradGuardDisablesGraphBuilding) {
   EXPECT_TRUE(y.requires_grad());
 }
 
-// The inference conv is an implicit GEMM over packed column strips; the
-// graph path materializes im2col and runs linalg::sgemm. Both must run the
-// same float program per output element, so they agree bitwise under every
-// kernel target and worker count, across shapes that hit every strip and
-// k-block edge.
+// Test-local oracles: explicit reference forwards that conv2d and
+// depthwise_conv2d_same must reproduce bit for bit, with and without
+// gradients, under every kernel target and worker count.
+
+// pad2d + batch-wide im2col + one sgemm_nn per image, bias added after.
+Tensor conv2d_oracle(const Tensor& x, const Tensor& w, const Tensor* bias, int stride,
+                     int pad) {
+  const std::int64_t n = x.dim(0), f = w.dim(0);
+  const int kh = static_cast<int>(w.dim(2)), kw = static_cast<int>(w.dim(3));
+  const std::int64_t patch = w.dim(1) * kh * kw;
+  const std::int64_t oh = tensor::conv_out_size(x.dim(2) + 2 * pad, kh, stride);
+  const std::int64_t ow = tensor::conv_out_size(x.dim(3) + 2 * pad, kw, stride);
+  const Tensor cols = tensor::im2col(tensor::pad2d(x, pad, pad), kh, kw, stride, stride);
+  Tensor out(Shape::nchw(n, f, oh, ow));
+  for (std::int64_t in = 0; in < n; ++in) {
+    linalg::sgemm_nn(f, oh * ow, patch, w.data(), cols.data() + in * patch * oh * ow,
+                     out.data() + in * f * oh * ow, /*accumulate=*/false);
+  }
+  if (bias != nullptr) {
+    for (std::int64_t in = 0; in < n; ++in)
+      for (std::int64_t ic = 0; ic < f; ++ic) {
+        float* plane = out.data() + (in * f + ic) * oh * ow;
+        for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += (*bias)[ic];
+      }
+  }
+  return out;
+}
+
+// Border-checked taps over the unpadded input, double accumulator, taps in
+// ascending (fy, fx) order; bias added to the rounded float.
+Tensor depthwise_oracle(const Tensor& x, const Tensor& w, const Tensor* bias) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), wdim = x.dim(3);
+  const int kh = static_cast<int>(w.dim(1)), kw = static_cast<int>(w.dim(2));
+  const int ph = kh / 2, pw = kw / 2;
+  Tensor out(x.shape());
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const std::int64_t ic = p % c;
+    const float* src = x.data() + p * h * wdim;
+    const float* ker = w.data() + ic * kh * kw;
+    float* dst = out.data() + p * h * wdim;
+    for (std::int64_t y = 0; y < h; ++y) {
+      for (std::int64_t xx = 0; xx < wdim; ++xx) {
+        double acc = 0.0;
+        for (int fy = 0; fy < kh; ++fy) {
+          const std::int64_t sy = y + fy - ph;
+          if (sy < 0 || sy >= h) continue;
+          for (int fx = 0; fx < kw; ++fx) {
+            const std::int64_t sx = xx + fx - pw;
+            if (sx < 0 || sx >= wdim) continue;
+            acc += static_cast<double>(ker[fy * kw + fx]) * src[sy * wdim + sx];
+          }
+        }
+        dst[y * wdim + xx] = static_cast<float>(acc);
+        if (bias != nullptr) dst[y * wdim + xx] += (*bias)[ic];
+      }
+    }
+  }
+  return out;
+}
+
+void expect_bitwise_equal(const Tensor& got, const Tensor& want, const std::string& where) {
+  ASSERT_EQ(got.shape(), want.shape()) << where;
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << where << ", elem " << i;
+  }
+}
+
+std::string sweep_label(const char* label, util::KernelTarget target, int workers) {
+  return std::string(label) + ", " + util::kernel_target_name(target) + ", workers " +
+         std::to_string(workers);
+}
+
+// Shapes that hit every column-strip and k-block edge of the implicit GEMM.
 struct ConvCase {
   std::int64_t n, c, h, w, f;
   int k, stride, pad;
@@ -61,39 +132,113 @@ struct ConvCase {
   const char* label;
 };
 
-TEST(Ops, Conv2dInferencePathMatchesGradPath) {
-  const ConvCase cases[] = {
-      {1, 3, 32, 32, 16, 5, 1, 2, true, "paper conv1, batch 1"},
-      {64, 16, 32, 32, 32, 5, 2, 2, true, "paper conv2 (two k-blocks), batch 64"},
-      {3, 32, 16, 16, 64, 3, 2, 1, true, "paper conv3, batch 3"},
-      {3, 24, 9, 9, 5, 5, 1, 2, true, "three k-blocks, f=5, ow=9"},
-      {3, 3, 11, 13, 13, 3, 2, 1, true, "f=13, ow=7: strips wrap rows, stride 2"},
-      {1, 2, 7, 12, 4, 3, 1, 0, false, "unpadded, ow=10, no bias"},
-      {2, 2, 10, 10, 3, 3, 3, 1, true, "stride 3"},
-      {2, 3, 8, 8, 4, 3, 1, 1, true, "small stride 1"},
-  };
+const ConvCase kConvCases[] = {
+    {1, 3, 32, 32, 16, 5, 1, 2, true, "paper conv1, batch 1"},
+    {64, 16, 32, 32, 32, 5, 2, 2, true, "paper conv2 (two k-blocks), batch 64"},
+    {3, 32, 16, 16, 64, 3, 2, 1, true, "paper conv3, batch 3"},
+    {3, 24, 9, 9, 5, 5, 1, 2, true, "three k-blocks, f=5, ow=9"},
+    {3, 3, 11, 13, 13, 3, 2, 1, true, "f=13, ow=7: strips wrap rows, stride 2"},
+    {1, 2, 7, 12, 4, 3, 1, 0, false, "unpadded, ow=10, no bias"},
+    {2, 2, 10, 10, 3, 3, 3, 1, true, "stride 3"},
+    {2, 3, 8, 8, 4, 3, 1, 1, true, "small stride 1"},
+};
+
+TEST(Ops, Conv2dBothModesBitwiseEqualExplicitGemmOracle) {
   util::Rng rng(21);
-  for (const ConvCase& cc : cases) {
-    const auto x = Variable::constant(Tensor::randn(Shape::nchw(cc.n, cc.c, cc.h, cc.w), rng));
+  for (const ConvCase& cc : kConvCases) {
+    const Tensor xv = Tensor::randn(Shape::nchw(cc.n, cc.c, cc.h, cc.w), rng);
     const auto weights = Variable::leaf(
         Tensor::randn(Shape{cc.f, cc.c, cc.k, cc.k}, rng, 0.0f, 0.2f), true);
     const auto bias =
         cc.bias ? Variable::leaf(Tensor::randn(Shape::vec(cc.f), rng), true) : Variable();
+    const auto x = Variable::constant(xv);
     for (const auto target : blurnet::testing::available_kernel_targets()) {
       blurnet::testing::ScopedKernelTarget scoped(target);
-      const Tensor grad_path = conv2d(x, weights, bias, cc.stride, cc.pad).value();
+      const Tensor oracle = conv2d_oracle(xv, weights.value(),
+                                          cc.bias ? &bias.value() : nullptr, cc.stride, cc.pad);
       for (const int workers : {1, 2, 4}) {
         util::set_parallel_workers(workers);
-        Tensor fast_path;
-        {
-          NoGradGuard no_grad;
-          fast_path = conv2d(x, weights, bias, cc.stride, cc.pad).value();
-        }
-        ASSERT_EQ(fast_path.shape(), grad_path.shape()) << cc.label;
-        for (std::int64_t i = 0; i < grad_path.numel(); ++i) {
-          ASSERT_EQ(fast_path[i], grad_path[i])
-              << cc.label << ", " << util::kernel_target_name(target) << ", workers "
-              << workers << ", elem " << i;
+        const std::string where = sweep_label(cc.label, target, workers);
+        const auto graph = conv2d(x, weights, bias, cc.stride, cc.pad);
+        ASSERT_TRUE(graph.requires_grad()) << where;
+        expect_bitwise_equal(graph.value(), oracle, where + ", graph");
+        NoGradGuard no_grad;
+        expect_bitwise_equal(conv2d(x, weights, bias, cc.stride, cc.pad).value(), oracle,
+                             where + ", no grad");
+      }
+      util::reset_parallel_workers();
+    }
+  }
+}
+
+// The conv backward, spelled out: dW = sum_n G_n * im2col(x_n)^T, db = the
+// N/H/W sum of G, dX = unpad(col2im(W^T * G_n)).
+struct ConvGrads {
+  Tensor dx, dw, db;
+};
+
+ConvGrads conv2d_backward_oracle(const Tensor& x, const Tensor& w, const Tensor& g,
+                                 int stride, int pad) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), f = w.dim(0);
+  const int kh = static_cast<int>(w.dim(2)), kw = static_cast<int>(w.dim(3));
+  const std::int64_t patch = c * kh * kw, cols_n = g.dim(2) * g.dim(3);
+  const std::int64_t hp = x.dim(2) + 2 * pad, wp = x.dim(3) + 2 * pad;
+  ConvGrads out;
+  const Tensor cols = tensor::im2col(tensor::pad2d(x, pad, pad), kh, kw, stride, stride);
+  out.dw = Tensor(w.shape());
+  for (std::int64_t in = 0; in < n; ++in) {
+    linalg::sgemm_nt(f, patch, cols_n, g.data() + in * f * cols_n,
+                     cols.data() + in * patch * cols_n, out.dw.data(), /*accumulate=*/true);
+  }
+  out.db = tensor::reduce_nhw(g);
+  Tensor dcols(Shape{n, patch, cols_n});
+  for (std::int64_t in = 0; in < n; ++in) {
+    linalg::sgemm_tn(patch, cols_n, f, w.data(), g.data() + in * f * cols_n,
+                     dcols.data() + in * patch * cols_n, /*accumulate=*/false);
+  }
+  out.dx = tensor::unpad2d(tensor::col2im(dcols, n, c, hp, wp, kh, kw, stride, stride), pad,
+                           pad);
+  return out;
+}
+
+TEST(Ops, Conv2dGradientsBitwiseEqualExplicitBackwardOracle) {
+  struct Tracked {
+    bool x, w;  // the bias tracks gradients exactly when the weights do
+    const char* label;
+  };
+  const Tracked tracked[] = {{true, false, "x only"}, {false, true, "w only"},
+                             {true, true, "all"}};
+  util::Rng rng(23);
+  for (const ConvCase& cc : kConvCases) {
+    // Four images keep every strip and k-block edge while bounding the
+    // backward cost of the batch-64 case.
+    const std::int64_t n = std::min<std::int64_t>(cc.n, 4);
+    const Tensor xv = Tensor::randn(Shape::nchw(n, cc.c, cc.h, cc.w), rng);
+    const Tensor wv = Tensor::randn(Shape{cc.f, cc.c, cc.k, cc.k}, rng, 0.0f, 0.2f);
+    const Tensor bv = Tensor::randn(Shape::vec(cc.f), rng);
+    const std::int64_t oh = tensor::conv_out_size(cc.h + 2 * cc.pad, cc.k, cc.stride);
+    const std::int64_t ow = tensor::conv_out_size(cc.w + 2 * cc.pad, cc.k, cc.stride);
+    // d(sum(y * G))/dy == G exactly, so G is the upstream gradient as given.
+    const Tensor upstream = Tensor::randn(Shape::nchw(n, cc.f, oh, ow), rng);
+    for (const auto target : blurnet::testing::available_kernel_targets()) {
+      blurnet::testing::ScopedKernelTarget scoped(target);
+      const ConvGrads oracle = conv2d_backward_oracle(xv, wv, upstream, cc.stride, cc.pad);
+      for (const int workers : {1, 2, 4}) {
+        util::set_parallel_workers(workers);
+        for (const Tracked& t : tracked) {
+          const std::string where =
+              sweep_label(cc.label, target, workers) + ", tracking " + t.label;
+          auto x = Variable::leaf(xv.clone(), t.x);
+          auto w = Variable::leaf(wv.clone(), t.w);
+          auto b = cc.bias ? Variable::leaf(bv.clone(), t.w) : Variable();
+          backward(sum(mul_const(conv2d(x, w, b, cc.stride, cc.pad), upstream)));
+          if (t.x) expect_bitwise_equal(x.grad(), oracle.dx, where + ", dX");
+          EXPECT_EQ(x.has_grad(), t.x) << where;
+          if (t.w) {
+            expect_bitwise_equal(w.grad(), oracle.dw, where + ", dW");
+            if (cc.bias) expect_bitwise_equal(b.grad(), oracle.db, where + ", db");
+          }
+          EXPECT_EQ(w.has_grad(), t.w) << where;
         }
       }
       util::reset_parallel_workers();
@@ -244,6 +389,11 @@ TEST(Ops, Conv2dStrideAndPadShapes) {
   auto b = Variable::constant(Tensor::zeros(Shape::vec(8)));
   EXPECT_EQ(conv2d(x, w, b, 2, 2).shape(), Shape::nchw(2, 8, 16, 16));
   EXPECT_EQ(conv2d(x, w, b, 1, 2).shape(), Shape::nchw(2, 8, 32, 32));
+  // A zero stride would divide by zero sizing the output; a negative pad
+  // would crop the input through the padding copy.
+  EXPECT_THROW(conv2d(x, w, b, 0, 2), std::invalid_argument);
+  EXPECT_THROW(conv2d(x, w, b, -1, 2), std::invalid_argument);
+  EXPECT_THROW(conv2d(x, w, b, 1, -1), std::invalid_argument);
 }
 
 TEST(Ops, DepthwiseIdentityKernelIsIdentity) {
@@ -525,24 +675,45 @@ TEST(KernelDispatch, AffineWarpForwardBitwiseIdenticalAcrossTargets) {
   }
 }
 
-TEST(KernelDispatch, DepthwiseInferenceBitwiseIdenticalAcrossTargets) {
+// The padded tap row steps 16 px, then 4, then 1 on AVX2 (2, then 1 on
+// NEON): the widths cover rows shorter than one 16-px step, exact steps, and
+// steps with 4-px and single-px tails, at k = 3, 5 and 7. Both modes match
+// the border-checked oracle.
+TEST(KernelDispatch, DepthwiseBothModesBitwiseEqualOracleAcrossTargets) {
+  struct DepthwiseCase {
+    std::int64_t n, c, h, w;
+    int k;
+    bool bias;
+  };
+  const DepthwiseCase cases[] = {
+      {2, 3, 8, 21, 3, false}, {1, 2, 5, 7, 3, true},   {2, 3, 9, 16, 5, true},
+      {1, 4, 6, 37, 5, false}, {2, 2, 11, 32, 7, true}, {1, 3, 4, 19, 7, false},
+      {1, 2, 3, 5, 7, true},
+  };
   util::Rng rng(92);
-  auto x = Variable::constant(Tensor::randn(Shape::nchw(2, 3, 8, 21), rng));
-  Tensor kernel(Shape{3, 3, 3});
-  for (std::int64_t i = 0; i < kernel.numel(); ++i)
-    kernel[i] = static_cast<float>(rng.normal());
-  std::vector<float> scalar_out;
-  for (const auto target : blurnet::testing::available_kernel_targets()) {
-    blurnet::testing::ScopedKernelTarget scoped(target);
-    NoGradGuard no_grad;  // reach the dispatched inference fast path
-    const auto y = depthwise_conv2d_same(x, Variable::constant(kernel), Variable());
-    if (target == util::KernelTarget::kScalar) {
-      scalar_out.assign(y.value().data(), y.value().data() + y.value().numel());
-      continue;
-    }
-    for (std::int64_t i = 0; i < y.value().numel(); ++i) {
-      ASSERT_EQ(y.value()[i], scalar_out[static_cast<std::size_t>(i)])
-          << util::kernel_target_name(target) << " elem " << i;
+  for (const DepthwiseCase& dc : cases) {
+    const Tensor xv = Tensor::randn(Shape::nchw(dc.n, dc.c, dc.h, dc.w), rng);
+    const auto kernel = Variable::leaf(Tensor::randn(Shape{dc.c, dc.k, dc.k}, rng), true);
+    const auto bias =
+        dc.bias ? Variable::leaf(Tensor::randn(Shape::vec(dc.c), rng), true) : Variable();
+    const Tensor oracle =
+        depthwise_oracle(xv, kernel.value(), dc.bias ? &bias.value() : nullptr);
+    const auto x = Variable::constant(xv);
+    const std::string label = "k=" + std::to_string(dc.k) + ", w=" + std::to_string(dc.w) +
+                              (dc.bias ? ", bias" : ", no bias");
+    for (const auto target : blurnet::testing::available_kernel_targets()) {
+      blurnet::testing::ScopedKernelTarget scoped(target);
+      for (const int workers : {1, 2, 4}) {
+        util::set_parallel_workers(workers);
+        const std::string where = sweep_label(label.c_str(), target, workers);
+        const auto graph = depthwise_conv2d_same(x, kernel, bias);
+        ASSERT_TRUE(graph.requires_grad()) << where;
+        expect_bitwise_equal(graph.value(), oracle, where + ", graph");
+        NoGradGuard no_grad;
+        expect_bitwise_equal(depthwise_conv2d_same(x, kernel, bias).value(), oracle,
+                             where + ", no grad");
+      }
+      util::reset_parallel_workers();
     }
   }
 }
