@@ -1,6 +1,6 @@
 // Open-loop load test of the serving engine: offered-load sweep with a mixed
 // base / defended / transform traffic mix, plus a deliberate overload point
-// to measure saturation throughput and the overload policy's shed behavior.
+// to measure saturation throughput and how a full queue sheds.
 //
 // Results go to results/bench_serve_load.json (BLURNET_OUT_DIR to move the
 // directory). The engine serves freshly initialized weights — arrival
@@ -13,7 +13,6 @@
 //   BLURNET_LOAD_REPLICAS  replicas per variant            (default 2)
 //   BLURNET_LOAD_QUEUE_CAP queue capacity per variant      (default 64)
 //   BLURNET_LOAD_ARRIVAL   poisson | onoff | uniform       (default poisson)
-//   BLURNET_LOAD_POLICY    reject | block                  (default reject)
 //   BLURNET_LOAD_RPS       base offered rate; 0 calibrates (default 0)
 #include <algorithm>
 #include <cstdio>
@@ -73,7 +72,6 @@ int main() {
   const int queue_cap = util::env_int("BLURNET_LOAD_QUEUE_CAP", 64);
   const std::string arrival_name =
       util::env_string("BLURNET_LOAD_ARRIVAL").value_or("poisson");
-  const std::string policy_name = util::env_string("BLURNET_LOAD_POLICY").value_or("reject");
   double base_rps = static_cast<double>(util::env_int("BLURNET_LOAD_RPS", 0));
 
   serve::ArrivalProcess arrival;
@@ -87,21 +85,11 @@ int main() {
     std::fprintf(stderr, "unknown BLURNET_LOAD_ARRIVAL \"%s\"\n", arrival_name.c_str());
     return 1;
   }
-  serve::OverloadPolicy policy;
-  if (policy_name == "reject") {
-    policy = serve::OverloadPolicy::kReject;
-  } else if (policy_name == "block") {
-    policy = serve::OverloadPolicy::kBlock;
-  } else {
-    std::fprintf(stderr, "unknown BLURNET_LOAD_POLICY \"%s\"\n", policy_name.c_str());
-    return 1;
-  }
 
   serve::EngineConfig config;
   config.defense = {nn::FilterPlacement::kAfterLayer1, 3, signal::KernelKind::kBox};
   config.replicas = replicas;
   config.queue_capacity = queue_cap;
-  config.overload_policy = policy;
   serve::InferenceEngine engine(config);
   serve::VariantSpec squeeze4;
   squeeze4.transform = defense::make_transform(defense::TransformSpec::squeeze(4));
@@ -136,8 +124,8 @@ int main() {
     }
     base_rps = slowest_rps;
   }
-  std::printf("base service rate: %.1f img/s, arrival=%s, policy=%s, queue=%d, replicas=%d\n",
-              base_rps, arrival_name.c_str(), policy_name.c_str(), queue_cap, replicas);
+  std::printf("base service rate: %.1f img/s, arrival=%s, queue=%d, replicas=%d\n", base_rps,
+              arrival_name.c_str(), queue_cap, replicas);
 
   std::ostringstream sweeps;
   std::printf("\n%-10s %10s %10s %9s %9s %10s %10s %10s\n", "load", "offered/s",
@@ -170,12 +158,11 @@ int main() {
   out << "{\n  \"requests_per_point\": " << requests << ",\n  \"seed\": " << seed
       << ",\n  \"kernel\": \"" << util::kernel_target_name(util::active_kernel_target())
       << "\",\n  \"replicas\": " << replicas << ",\n  \"queue_capacity\": " << queue_cap
-      << ",\n  \"arrival\": \"" << arrival_name << "\",\n  \"policy\": \"" << policy_name
-      << "\",\n  \"base_service_rps\": " << base_rps
+      << ",\n  \"arrival\": \"" << arrival_name << "\",\n  \"base_service_rps\": " << base_rps
       << ",\n  \"saturation_rps\": " << saturation_rps
       << ",\n  \"engine\": {\"images\": " << stats.images
       << ", \"batches\": " << stats.batches << ", \"largest_batch\": " << stats.largest_batch
-      << ", \"rejected\": " << stats.rejected << ", \"blocked\": " << stats.blocked
+      << ", \"rejected\": " << stats.rejected
       << ", \"queue_peak\": " << stats.queue_peak << "},\n  \"sweep\": [\n    "
       << sweeps.str() << "\n  ]\n}\n";
   eval::write_results_file("bench_serve_load.json", out.str());

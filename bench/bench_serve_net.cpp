@@ -78,7 +78,6 @@ int main() {
   config.defense = {nn::FilterPlacement::kAfterLayer1, 3, signal::KernelKind::kBox};
   config.replicas = replicas;
   config.queue_capacity = queue_cap;
-  config.overload_policy = serve::OverloadPolicy::kReject;
   serve::InferenceEngine engine(config);
 
   net::ServerConfig server_config;  // loopback, ephemeral port

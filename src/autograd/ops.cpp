@@ -331,47 +331,7 @@ Variable relu(const Variable& a) {
   });
 }
 
-Variable sigmoid(const Variable& a) {
-  Tensor out = tensor::apply(a.value(), [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-  const Tensor out_copy = out;
-  return make_op("sigmoid", std::move(out), {a}, [a, out_copy](Node& node) mutable {
-    if (!a.requires_grad()) return;
-    Tensor d(out_copy.shape());
-    const float* o = out_copy.data();
-    const float* g = node.grad().data();
-    float* pd = d.data();
-    for (std::int64_t i = 0; i < d.numel(); ++i) pd[i] = g[i] * o[i] * (1.0f - o[i]);
-    a.node()->accumulate_grad(d);
-  });
-}
-
-Variable tanh_op(const Variable& a) {
-  Tensor out = tensor::apply(a.value(), [](float x) { return std::tanh(x); });
-  const Tensor out_copy = out;
-  return make_op("tanh", std::move(out), {a}, [a, out_copy](Node& node) mutable {
-    if (!a.requires_grad()) return;
-    Tensor d(out_copy.shape());
-    const float* o = out_copy.data();
-    const float* g = node.grad().data();
-    float* pd = d.data();
-    for (std::int64_t i = 0; i < d.numel(); ++i) pd[i] = g[i] * (1.0f - o[i] * o[i]);
-    a.node()->accumulate_grad(d);
-  });
-}
-
 // ---- linear layers ----------------------------------------------------------
-
-Variable matmul(const Variable& a, const Variable& b) {
-  Tensor out = tensor::matmul(a.value(), b.value());
-  return make_op("matmul", std::move(out), {a, b}, [a, b](Node& node) mutable {
-    if (a.requires_grad()) {
-      a.node()->accumulate_grad(tensor::matmul_nt(node.grad(), b.value()));
-    }
-    if (b.requires_grad()) {
-      b.node()->accumulate_grad(tensor::matmul_tn(a.value(), node.grad()));
-    }
-  });
-}
 
 Variable dense(const Variable& x, const Variable& w, const Variable& b) {
   // One arithmetic path for both modes, so the inference result is bitwise
@@ -611,47 +571,6 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
           x.node()->accumulate_grad(dx);
         }
       });
-}
-
-Variable maxpool2d(const Variable& x, int kernel, int stride) {
-  if (x.shape().rank() != 4) throw std::invalid_argument("maxpool2d: expected NCHW");
-  const std::int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2], w = x.shape()[3];
-  const std::int64_t oh = tensor::conv_out_size(h, kernel, stride);
-  const std::int64_t ow = tensor::conv_out_size(w, kernel, stride);
-  Tensor out(Shape::nchw(n, c, oh, ow));
-  auto indices = std::make_shared<std::vector<std::int64_t>>(
-      static_cast<std::size_t>(out.numel()));
-  const float* xv = x.value().data();
-  for (std::int64_t p = 0; p < n * c; ++p) {
-    const float* src = xv + p * h * w;
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        std::int64_t best = (oy * stride) * w + ox * stride;
-        float best_v = src[best];
-        for (int fy = 0; fy < kernel; ++fy) {
-          for (int fx = 0; fx < kernel; ++fx) {
-            const std::int64_t idx = (oy * stride + fy) * w + ox * stride + fx;
-            if (src[idx] > best_v) {
-              best_v = src[idx];
-              best = idx;
-            }
-          }
-        }
-        const std::int64_t flat = (p * oh + oy) * ow + ox;
-        out[flat] = best_v;
-        (*indices)[static_cast<std::size_t>(flat)] = p * h * w + best;
-      }
-    }
-  }
-  return make_op("maxpool2d", std::move(out), {x}, [x, indices](Node& node) mutable {
-    if (!x.requires_grad()) return;
-    Tensor dx(x.value().shape());
-    const float* g = node.grad().data();
-    for (std::size_t i = 0; i < indices->size(); ++i) {
-      dx[(*indices)[i]] += g[i];
-    }
-    x.node()->accumulate_grad(dx);
-  });
 }
 
 // ---- reductions & norms -------------------------------------------------------

@@ -41,11 +41,8 @@ Variable repeat_batch(const Variable& a, std::int64_t k);
 
 // ---- activations ------------------------------------------------------------
 Variable relu(const Variable& a);
-Variable sigmoid(const Variable& a);
-Variable tanh_op(const Variable& a);
 
 // ---- linear layers ----------------------------------------------------------
-Variable matmul(const Variable& a, const Variable& b);
 /// y = x·W + b with x [m,k], W [k,n], b [n] (b may be undefined).
 Variable dense(const Variable& x, const Variable& w, const Variable& b);
 
@@ -58,8 +55,6 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
 /// Depthwise convolution with same padding, stride 1: w [C,kh,kw], optional
 /// b [C]. Each channel filtered independently — the paper's filter layer.
 Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Variable& b);
-/// Max-pooling (square kernel/stride).
-Variable maxpool2d(const Variable& x, int kernel, int stride);
 
 // ---- reductions & norms -------------------------------------------------------
 Variable sum(const Variable& a);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/kernels/dispatch.h"
-#include "src/signal/dct.h"
 #include "src/util/parallel.h"
 
 namespace blurnet::defense {
@@ -230,10 +229,9 @@ Tensor dct_quantize_nchw(const Tensor& x, int quality) {
   const std::vector<double> quant = scaled_quant_table(quality);
 
   Tensor out(x.shape());
-  // The 8x8 transform is kernel-dispatched: the specialized kernels use a
-  // shared runtime cosine table with the exact fold order of
-  // signal::dct2d/idct2d, so every target produces bitwise-identical
-  // blocks; targets without a specialization keep the generic path.
+  // The 8x8 transform is kernel-dispatched: every target uses a shared
+  // runtime cosine table with the exact fold order of signal::dct2d/idct2d,
+  // so every target produces bitwise-identical blocks.
   const util::KernelTarget target = util::active_kernel_target();
   const kernels::Dct8x8Fn dct_fwd = kernels::dct8x8(target, /*inverse=*/false);
   const kernels::Dct8x8Fn dct_inv = kernels::dct8x8(target, /*inverse=*/true);
@@ -259,27 +257,14 @@ Tensor dct_quantize_nchw(const Tensor& x, int quality) {
                       static_cast<double>(src[sy * w + sx]) * 255.0 - 128.0;
                 }
               }
-              const double* rebuilt = nullptr;
-              std::vector<double> rebuilt_vec;  // generic-path storage
-              if (dct_fwd != nullptr) {
-                dct_fwd(scratch.block.data(), scratch.coeff.data());
-                for (int i = 0; i < kBlock * kBlock; ++i) {
-                  const double q = quant[static_cast<std::size_t>(i)];
-                  scratch.coeff[static_cast<std::size_t>(i)] =
-                      std::round(scratch.coeff[static_cast<std::size_t>(i)] / q) * q;
-                }
-                dct_inv(scratch.coeff.data(), scratch.block.data());
-                rebuilt = scratch.block.data();
-              } else {
-                auto coeff = signal::dct2d(scratch.block, kBlock, kBlock);
-                for (int i = 0; i < kBlock * kBlock; ++i) {
-                  const double q = quant[static_cast<std::size_t>(i)];
-                  coeff[static_cast<std::size_t>(i)] =
-                      std::round(coeff[static_cast<std::size_t>(i)] / q) * q;
-                }
-                rebuilt_vec = signal::idct2d(coeff, kBlock, kBlock);
-                rebuilt = rebuilt_vec.data();
+              dct_fwd(scratch.block.data(), scratch.coeff.data());
+              for (int i = 0; i < kBlock * kBlock; ++i) {
+                const double q = quant[static_cast<std::size_t>(i)];
+                scratch.coeff[static_cast<std::size_t>(i)] =
+                    std::round(scratch.coeff[static_cast<std::size_t>(i)] / q) * q;
               }
+              dct_inv(scratch.coeff.data(), scratch.block.data());
+              const double* rebuilt = scratch.block.data();
               for (int y = 0; y < kBlock; ++y) {
                 const std::int64_t oy = by + y;
                 if (oy >= h) break;

@@ -109,6 +109,32 @@ const Dct8Table& dct8_table() {
   return table;
 }
 
+/// One 8-point DCT-II (or its inverse) along a line whose elements sit
+/// `stride` apart, folded exactly like one lane of the AVX2 kernels.
+template <bool kInverse>
+void dct8_line(const Dct8Table& tab, const double* x, int stride, double* out) {
+  for (int j = 0; j < 8; ++j) {
+    double acc = kInverse ? tab.scale0 * x[0] : 0.0;
+    if (kInverse) {
+      for (int k = 1; k < 8; ++k) acc += tab.scale * x[k * stride] * tab.cosv[j * 8 + k];
+    } else {
+      for (int i = 0; i < 8; ++i) acc += x[i * stride] * tab.cosv[i * 8 + j];
+      acc *= j == 0 ? tab.scale0 : tab.scale;
+    }
+    out[j * stride] = acc;
+  }
+}
+
+/// Rows then columns, one output element at a time: the scalar reference
+/// the AVX2 kernels and signal::dct2d/idct2d match bitwise.
+template <bool kInverse>
+void dct8x8_scalar(const double* in, double* out) {
+  const Dct8Table& tab = dct8_table();
+  double tmp[64];
+  for (int y = 0; y < 8; ++y) dct8_line<kInverse>(tab, in + y * 8, 1, tmp + y * 8);
+  for (int c = 0; c < 8; ++c) dct8_line<kInverse>(tab, tmp + c, 8, out + c);
+}
+
 void median3_row_scalar(const float* src, std::int64_t stride, float* dst,
                         std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) {
@@ -210,8 +236,7 @@ Dct8x8Fn dct8x8(util::KernelTarget target, bool inverse) {
   }
 #endif
   (void)target;
-  (void)inverse;
-  return nullptr;  // callers keep the generic signal::dct2d path
+  return inverse ? detail::dct8x8_scalar<true> : detail::dct8x8_scalar<false>;
 }
 
 }  // namespace blurnet::kernels

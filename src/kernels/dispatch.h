@@ -21,7 +21,7 @@
 //     every target (see "median rows" below) and are bitwise equal to
 //     scalar for every input, NaN and signed zeros included.
 //
-// gemm_row and dct8x8 may return nullptr for a target with no specialized
+// gemm_row may return nullptr for a target with no specialized
 // implementation: callers must fall back to their generic path. Every other
 // accessor is never null (a target without a specialization gets the scalar
 // kernel).
@@ -136,8 +136,8 @@ MedianRowFn median5_row(util::KernelTarget target);
 /// results are bitwise equal to the loop-computed scalar path).
 using Dct8x8Fn = void (*)(const double* in, double* out);
 
-/// nullptr for targets without a specialization (callers keep the
-/// generic signal::dct2d path).
+/// Never null: targets without a specialization (scalar, neon) get the
+/// scalar pair.
 Dct8x8Fn dct8x8(util::KernelTarget target, bool inverse);
 
 }  // namespace blurnet::kernels

@@ -19,8 +19,8 @@ namespace blurnet::net {
 
 namespace {
 
-/// The loop's idle poll period: how often it re-checks the drain deadline and
-/// parked requests' block timeouts when nothing wakes it sooner.
+/// The loop's idle poll period: how often it re-checks the drain deadline
+/// when nothing wakes it sooner.
 constexpr int kPollTimeoutMs = 50;
 constexpr std::size_t kReadChunk = 64 * 1024;
 
@@ -140,13 +140,12 @@ void Server::event_loop() {
         std::lock_guard<util::DebugMutex> lock(conn->mutex);
         // Backpressure: stop reading from a peer whose replies it is not
         // consuming (unflushed outbox past the bound), that already has a
-        // full pipeline of unanswered classify requests, or whose next
-        // request is parked for shard space. Reads resume once the backlog
-        // drains — completions wake the loop as replies land.
+        // full pipeline of unanswered classify requests. Reads resume once
+        // the backlog drains — completions wake the loop as replies land.
         const bool outbox_full = conn->outbox.size() + conn->sending.size() - conn->sent >
                                  config_.max_outbox_bytes;
         const bool pipeline_full = conn->replies_in_flight >= config_.max_inflight_requests;
-        if (!conn->input_closed && conn->parked.empty() && !outbox_full && !pipeline_full) {
+        if (!conn->input_closed && !outbox_full && !pipeline_full) {
           events |= POLLIN;
         }
         if (conn->sent < conn->sending.size()) events |= POLLOUT;
@@ -178,9 +177,6 @@ void Server::event_loop() {
     std::vector<std::size_t> dead;
     for (std::size_t i = 0; i < connections_.size(); ++i) {
       const std::shared_ptr<Connection>& conn = connections_[i];
-      // Every wake may have freed shard space: retry parked requests first,
-      // in order, before reading anything behind them.
-      while (!conn->parked.empty() && admit(conn, conn->parked.front())) conn->parked.pop_front();
       const short revents = first_conn + i < fds.size() ? fds[first_conn + i].revents : 0;
       bool alive = true;
       if (revents & (POLLERR | POLLNVAL)) alive = false;
@@ -394,10 +390,9 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn, const Frame& 
 
 void Server::handle_classify(const std::shared_ptr<Connection>& conn, const Frame& frame,
                              bool batch) {
-  Pending pending;
+  ClassifyRequest request;
   try {
-    pending.request =
-        decode_classify_request(frame.payload.data(), frame.payload.size(), batch);
+    request = decode_classify_request(frame.payload.data(), frame.payload.size(), batch);
   } catch (const WireError& e) {
     // Payload decode failure: framing was fine, so only this request fails.
     queue_error(*conn, frame.request_id, {ErrorCode::kInvalidRequest, e.what()});
@@ -414,37 +409,32 @@ void Server::handle_classify(const std::shared_ptr<Connection>& conn, const Fram
     return;
   }
 
-  pending.reply = std::make_shared<Reply>(
-      frame.request_id, batch, batch ? static_cast<std::size_t>(pending.request.images.dim(0)) : 1);
   {
     std::lock_guard<util::DebugMutex> lock(conn->mutex);
     ++conn->replies_in_flight;
   }
-  // Requests are admitted in arrival order: one behind a parked request
-  // waits its turn.
-  if (!conn->parked.empty() || !admit(conn, pending)) conn->parked.push_back(std::move(pending));
+  admit(conn, std::make_shared<Reply>(frame.request_id, batch,
+                                      batch ? static_cast<std::size_t>(request.images.dim(0)) : 1),
+        request);
 }
 
-bool Server::admit(const std::shared_ptr<Connection>& conn, Pending& pending) {
-  const std::shared_ptr<Reply>& reply = pending.reply;
+void Server::admit(const std::shared_ptr<Connection>& conn, const std::shared_ptr<Reply>& reply,
+                   const ClassifyRequest& request) {
   const int count = static_cast<int>(reply->predictions.size());
   serve::Options options;
-  options.variant = pending.request.variant;
-  options.max_batch = pending.request.max_batch;
+  options.variant = request.variant;
+  options.max_batch = request.max_batch;
   std::optional<ErrorFrame> failure;
-  while (pending.next < count) {
-    const int index = pending.next;
+  for (int index = 0; index < count && !failure; ++index) {
     // The image's hold, taken before its completion can possibly run.
     reply->holds.fetch_add(1, std::memory_order_relaxed);
     bool admitted = false;
     try {
       admitted = engine_.try_submit(
-          reply->batch ? slice_image(pending.request.images, index) : pending.request.images,
-          options,
+          reply->batch ? slice_image(request.images, index) : request.images, options,
           [conn, reply, index](serve::Prediction prediction, std::exception_ptr error) {
             complete(*conn, *reply, index, std::move(prediction), error);
-          },
-          pending.parked);
+          });
     } catch (const std::invalid_argument& e) {
       // Unknown variant / bad shape: the engine's message lists the
       // registered variants, which travels back to the client verbatim.
@@ -455,37 +445,20 @@ bool Server::admit(const std::shared_ptr<Connection>& conn, Pending& pending) {
       failure = ErrorFrame{ErrorCode::kInternal, e.what()};
     }
     if (admitted) {
-      ++pending.next;
       conn->requests.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     drop_hold(*conn, *reply);  // the image's hold: its completion will never run
-    if (failure) break;
-    // The shard is full. A batch already partly admitted fails as one unit;
-    // the admitted images' completions still count down into its reply.
-    if (engine_.overload_policy() == serve::OverloadPolicy::kReject) {
-      failure = ErrorFrame{ErrorCode::kOverload, "variant \"" + options.variant +
-                                                     "\" queue is full (policy reject)"};
-      break;
+    // Refused without an error means the shard is full. A batch already
+    // partly admitted fails as one unit; the admitted images' completions
+    // still count down into its reply.
+    if (!failure) {
+      failure =
+          ErrorFrame{ErrorCode::kOverload, "variant \"" + options.variant + "\" queue is full"};
     }
-    const Clock::time_point now = Clock::now();
-    if (!pending.parked) {
-      pending.parked = true;
-      pending.parked_at = now;
-      return false;
-    }
-    const int timeout_ms = engine_.block_timeout_ms();
-    if (timeout_ms == 0 || now - pending.parked_at < std::chrono::milliseconds(timeout_ms)) {
-      return false;
-    }
-    failure = ErrorFrame{ErrorCode::kOverload,
-                         "variant \"" + options.variant + "\" queue is full (policy block, " +
-                             "timed out after " + std::to_string(timeout_ms) + " ms)"};
-    break;
   }
   if (failure) fail(*reply, std::move(*failure));
   drop_hold(*conn, *reply);  // the loop's hold: admission is over
-  return true;
 }
 
 void Server::retire(std::size_t index) {
@@ -544,7 +517,6 @@ ServerStats Server::stats() const {
       v.images += r.images;
     }
     v.rejected = vs.rejected;
-    v.blocked = vs.blocked;
     v.queue_depth = vs.queue_depth;
     v.queue_peak = vs.queue_peak;
     v.latency_count = static_cast<std::int64_t>(vs.latency.count);

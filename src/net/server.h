@@ -19,12 +19,8 @@
 // may overtake a slow one's on the same connection — and clients correlate
 // by request id (the client library pipelines on exactly this).
 //
-// When the engine refuses a request because its shard is full, kReject
-// answers with a kOverload frame at once. kBlock parks the request (and any
-// classify requests behind it) on its connection and stops reading from
-// that connection; the loop retries on each wake and gives up with a
-// kOverload frame once the engine's block_timeout_ms has passed, if it is
-// nonzero. A parked connection stalls only itself, never the loop.
+// When the engine refuses a request because its shard is full, the loop
+// answers with a kOverload frame at once; nothing waits for shard space.
 //
 // Backpressure is bidirectional: the loop stops reading from a connection
 // whose unflushed outbox exceeds ServerConfig::max_outbox_bytes (a client
@@ -40,7 +36,7 @@
 // requests arriving while the server drains become kShuttingDown.
 //
 // stop() is graceful: the listener closes immediately, requests already
-// admitted or parked keep draining (bounded by
+// admitted keep draining (bounded by
 // ServerConfig::drain_timeout_ms), new classify requests are refused with
 // kShuttingDown frames, and once every connection is idle — or the deadline
 // passes — connections are closed and the loop joins. Completions of
@@ -51,7 +47,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -171,16 +166,6 @@ class Server {
     ErrorFrame error;  // the first failure: written once, by whoever set `failed`
   };
 
-  /// A decoded classify request the loop has not finished admitting: parked
-  /// for shard space under kBlock, or queued behind one that is.
-  struct Pending {
-    ClassifyRequest request;
-    std::shared_ptr<Reply> reply;
-    int next = 0;         // first image not yet admitted
-    bool parked = false;  // refused once already (retries are not recounted)
-    Clock::time_point parked_at{};
-  };
-
   struct Connection {
     Connection(Socket sock, std::uint64_t id, std::size_t max_frame_bytes,
                std::shared_ptr<Shared> shared)
@@ -192,7 +177,6 @@ class Server {
     const std::shared_ptr<Shared> shared;
 
     // Loop thread only.
-    std::deque<Pending> parked;       // admission order; reads pause while non-empty
     bool input_closed = false;        // no further requests will be read
     bool close_after_flush = false;   // framing error: flush the error frame, then close
     std::vector<std::uint8_t> sending;  // frames taken from outbox, being written
@@ -223,10 +207,11 @@ class Server {
   bool flush_outbox(Connection& conn);
   void handle_frame(const std::shared_ptr<Connection>& conn, const Frame& frame);
   void handle_classify(const std::shared_ptr<Connection>& conn, const Frame& frame, bool batch);
-  /// Admit the rest of `pending`'s images through try_submit(). Returns
-  /// false when the shard is full under kBlock (the request stays parked);
-  /// true once the request is fully admitted or has failed.
-  bool admit(const std::shared_ptr<Connection>& conn, Pending& pending);
+  /// Admit `request`'s images through try_submit(), in order. The first
+  /// refusal or error fails the whole reply (a full shard as kOverload);
+  /// images already admitted still count down into it.
+  void admit(const std::shared_ptr<Connection>& conn, const std::shared_ptr<Reply>& reply,
+             const ClassifyRequest& request);
   /// Queue an error frame on the connection (counts errors_sent + specific
   /// counters per code).
   static void queue_error(Connection& conn, std::uint32_t request_id, const ErrorFrame& error);

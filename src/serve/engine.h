@@ -43,14 +43,14 @@
 //     replica runs a worker that coalesces compatible queued requests (same
 //     variant) into one forward pass of up to max_batch images; with R
 //     replicas, R coalesced batches of a variant can be in flight at once.
-//     Queues are bounded (EngineConfig::queue_capacity): a full queue either
-//     rejects the submit with OverloadError or blocks the caller for
-//     backpressure, per EngineConfig::overload_policy, so overload degrades
-//     into explicit sheds or bounded waiting instead of unbounded memory
-//     growth and runaway tail latency. try_submit() is the non-blocking form
-//     for event loops, and submit(image, options) wraps the completion in a
-//     std::future. Per-variant queue depth high-water marks and
-//     enqueue→resolve latency quantiles are readable mid-run through stats().
+//     Queues are bounded (EngineConfig::queue_capacity) and a full queue
+//     sheds: submit() throws OverloadError and try_submit() returns false,
+//     so overload degrades into explicit sheds instead of unbounded memory
+//     growth and runaway tail latency. Admission never waits. try_submit()
+//     is the form for event loops, and submit(image, options) wraps the
+//     completion in a std::future. Per-variant queue depth high-water marks
+//     and enqueue→resolve latency quantiles are readable mid-run through
+//     stats().
 //
 // Every replica is a deep clone of the base weights (LisaCnn::clone), so
 // per-image results are bitwise identical for any replica count, batch
@@ -85,17 +85,14 @@ namespace blurnet::serve {
 inline constexpr const char* kBaseVariant = "base";
 inline constexpr const char* kDefendedVariant = "defended";
 
-/// What submit() does when a variant's bounded queue is full.
-enum class OverloadPolicy {
-  kReject,  // fail fast: throw OverloadError, caller sheds the request
-  kBlock,   // backpressure: block the caller until a slot frees (or timeout)
-};
+/// What a full queue does: it sheds. The one-value enum is kept only because
+/// the benchmark harness under perfbench/ sets EngineConfig::overload_policy;
+/// delete both with the next change to perfbench/.
+enum class OverloadPolicy { kReject };
 
-const char* to_string(OverloadPolicy policy);
-
-/// Thrown by submit() when the target variant's queue is full under kReject,
-/// or a kBlock wait exceeds block_timeout_ms. Distinct from logic errors so
-/// load generators can count sheds without swallowing real failures.
+/// Thrown by submit() when the target variant's queue is full. Distinct from
+/// logic errors so load generators can count sheds without swallowing real
+/// failures.
 struct OverloadError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -118,20 +115,17 @@ struct EngineConfig {
   int max_batch = 64;
   /// Serving replicas per variant (>= 1).
   int replicas = 1;
-  /// Most requests a variant's submit() queue holds before the overload
-  /// policy kicks in (>= 1). Bounds worst-case queueing delay: a full queue
-  /// is capacity/throughput seconds of latency already committed.
+  /// Most requests a variant's submit() queue holds before further submits
+  /// are shed (>= 1). Bounds worst-case queueing delay: a full queue is
+  /// capacity/throughput seconds of latency already committed.
   int queue_capacity = 1024;
-  /// What submit() does when the queue is full.
+  /// Has no effect. Kept only because the benchmark harness under perfbench/
+  /// sets it; delete it with the next change to perfbench/.
   OverloadPolicy overload_policy = OverloadPolicy::kReject;
-  /// kBlock only: longest a submit() waits for a slot before giving up with
-  /// OverloadError. 0 = wait indefinitely. Must be 0 under kReject (a
-  /// reject-policy engine never waits, so a timeout there is a config bug).
-  int block_timeout_ms = 0;
 
   /// Reject malformed configs with a descriptive std::invalid_argument
-  /// (non-positive max_batch / replicas / queue_capacity, negative timeout,
-  /// timeout combined with kReject). Called by the engine constructor.
+  /// (non-positive max_batch / replicas / queue_capacity). Called by the
+  /// engine constructor.
   void validate() const;
 };
 
@@ -161,8 +155,10 @@ struct VariantSpec {
 /// Per-request routing knobs.
 struct Options {
   std::string variant = kBaseVariant;
-  /// Override of EngineConfig::max_batch for this request; 0 = engine default.
-  /// For submit() it caps the coalesced batch this request leads.
+  /// Lowers EngineConfig::max_batch for this request; 0 = engine default.
+  /// A larger value is clamped to the engine's cap: a request may shrink its
+  /// forward passes but never grow them. For submit() it caps the coalesced
+  /// batch this request leads.
   int max_batch = 0;
 };
 
@@ -171,8 +167,7 @@ struct VariantStats {
   std::vector<ReplicaStats> replicas;  // one entry per replica, index order
   std::int64_t queue_depth = 0;  // requests pending right now
   std::int64_t queue_peak = 0;   // high-water mark of the pending queue
-  std::int64_t rejected = 0;     // submits shed by the overload policy
-  std::int64_t blocked = 0;      // submits that had to wait (or park) for a slot
+  std::int64_t rejected = 0;     // submits shed by a full queue
   /// Enqueue→resolve latency over the ring window; readable mid-run.
   LatencySnapshot latency;
 };
@@ -182,8 +177,7 @@ struct EngineStats {
   std::int64_t batches = 0;        // coalesced queue batches run
   std::int64_t images = 0;         // images through classify*/submit in total
   std::int64_t largest_batch = 0;  // biggest coalesced queue batch so far
-  std::int64_t rejected = 0;       // submits shed by the overload policy
-  std::int64_t blocked = 0;        // submits that had to wait for a slot
+  std::int64_t rejected = 0;       // submits shed by a full queue
   std::int64_t queue_peak = 0;     // deepest any variant's queue has been
   std::vector<VariantStats> variants;  // exact per-replica breakdown
 };
@@ -197,9 +191,7 @@ class InferenceEngine {
   /// deep-clones the weights at registration — call refresh_variant() if the
   /// base model is retrained afterwards.
   InferenceEngine(nn::LisaCnn model, nn::FixedFilterSpec defense, int max_batch = 64,
-                  int replicas = 1, int queue_capacity = 1024,
-                  OverloadPolicy overload_policy = OverloadPolicy::kReject,
-                  int block_timeout_ms = 0);
+                  int replicas = 1, int queue_capacity = 1024);
   ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
@@ -249,13 +241,6 @@ class InferenceEngine {
   /// True when the "defended" variant actually wraps a filter.
   bool defense_enabled() const { return defense_enabled_; }
 
-  /// The admission-control knobs the engine was built with. Front-ends that
-  /// admit through try_submit() read these to decide whether a refused
-  /// request is shed (kReject) or parked and retried (kBlock), and for how
-  /// long (block_timeout_ms; 0 = until space frees).
-  OverloadPolicy overload_policy() const { return config_.overload_policy; }
-  int block_timeout_ms() const { return config_.block_timeout_ms; }
-
   /// Classify a CHW image or an NCHW batch through the named variant.
   /// Returns one Prediction per image, in input order. Thread-safe.
   std::vector<Prediction> classify(const tensor::Tensor& images,
@@ -265,19 +250,15 @@ class InferenceEngine {
   /// the named variant; `done` receives the outcome (see Completion). Replica
   /// workers are spawned lazily on the first call, so classify()-only engines
   /// never pay for them. The variant's queue is bounded by
-  /// EngineConfig::queue_capacity: when full, kReject throws OverloadError
-  /// immediately and kBlock waits for a slot (throwing OverloadError only if
-  /// block_timeout_ms elapses first). When submit throws, `done` is never
-  /// invoked.
+  /// EngineConfig::queue_capacity: when it is full, submit throws
+  /// OverloadError at once and counts the shed in `rejected`. When submit
+  /// throws, `done` is never invoked.
   void submit(tensor::Tensor image, Options options, Completion done);
-  /// Non-blocking admission: queue the request like submit() and return
-  /// true, or return false — dropping `done` uncalled — when the variant's
-  /// queue is full. A refusal counts once in `rejected` under kReject; under
-  /// kBlock it counts once in `blocked`, and a caller that parks the request
-  /// and retries passes `retry = true` on later attempts so the request is
-  /// not counted again. Other failures (unknown variant, bad shape, engine
-  /// shutting down) throw as in submit().
-  bool try_submit(tensor::Tensor image, Options options, Completion done, bool retry = false);
+  /// submit() for event loops: queue the request and return true, or return
+  /// false — dropping `done` uncalled, counted once in `rejected` — when the
+  /// variant's queue is full. Other failures (unknown variant, bad shape,
+  /// engine shutting down) throw as in submit().
+  bool try_submit(tensor::Tensor image, Options options, Completion done);
   /// submit() with the outcome delivered through a future: a thin wrapper for
   /// callers that wait on each request.
   std::future<Prediction> submit(tensor::Tensor image, Options options = {});
@@ -298,13 +279,10 @@ class InferenceEngine {
     Completion done;
   };
 
-  /// How a request asks for admission: wait for a slot (submit()), or take
-  /// a refusal — first attempt or the retry of a parked request.
-  enum class Admission { kWait, kTry, kRetry };
-  /// The one admission path behind submit() and try_submit(). Returns false
-  /// only for a refused kTry/kRetry.
+  /// The one admission path behind submit() and try_submit(). A full queue
+  /// throws OverloadError when `throw_when_full`, else returns false.
   bool enqueue(tensor::Tensor image, const Options& options, Completion done,
-               Admission admission);
+               bool throw_when_full);
 
   /// Samples each variant's latency ring holds. Large enough that a p999 over
   /// the window is meaningful, small enough that snapshot()'s sort is cheap.
@@ -317,22 +295,13 @@ class InferenceEngine {
     std::size_t next_replica = 0;  // round-robin tiebreak; guarded by shards_mutex_
     // Queued path, all guarded by the engine-wide queue_mutex_ (except
     // `latency`, which has its own lock). Each shard has its own queue and
-    // condition variables so a submit() wakes only this variant's workers and
+    // condition variable so a submit() wakes only this variant's workers and
     // the head lookup is O(1).
     std::deque<Request> pending;
-    util::DebugConditionVariable cv;        // workers wait here for requests
-    util::DebugConditionVariable space_cv;  // kBlock submitters wait here for slots
-    // kBlock admission is FIFO: each backpressured submit() takes a ticket and
-    // only the queue's front may claim a freed slot, so slots go to waiters in
-    // arrival order instead of whichever thread the scheduler wakes first. A
-    // waiter that gives up (timeout, stop) erases its own ticket wherever it
-    // sits and re-notifies, so the line never stalls behind a ghost.
-    std::deque<std::uint64_t> block_waiters;
-    std::uint64_t next_block_ticket = 0;
+    util::DebugConditionVariable cv;  // workers wait here for requests
     bool workers_spawned = false;
     std::int64_t queue_peak = 0;  // high-water mark of pending.size()
-    std::int64_t rejected = 0;    // submits shed by the overload policy
-    std::int64_t blocked = 0;     // submits that had to wait (or park) for a slot
+    std::int64_t rejected = 0;    // submits shed by a full queue
     LatencyRing latency{kLatencyWindow};  // enqueue→resolve, microseconds
   };
 

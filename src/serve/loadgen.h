@@ -30,9 +30,9 @@
 //   * kUniform — fixed pacing at exactly 1/offered_rps; the no-variance
 //     baseline that isolates service-time jitter from arrival jitter.
 //
-// Rejected submits (OverloadError under the engine's reject policy, or a
-// block-policy timeout) are counted per variant, never retried — an open-loop
-// shed is load the server refused, which is the datum. In-process, run()
+// Rejected submits (OverloadError from a full queue) are counted per
+// variant, never retried — an open-loop shed is load the server refused,
+// which is the datum. In-process, run()
 // spawns no threads besides its own sender: each request's engine completion
 // stamps its own record on the worker that served it. Over the socket, run()
 // keeps one receiver per client connection, which reads replies in send

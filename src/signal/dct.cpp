@@ -38,7 +38,6 @@ std::vector<double> transform2d(const std::vector<double>& x, int height, int wi
   }
   std::vector<double> tmp(x.size());
   std::vector<double> out(x.size());
-  std::vector<double> line(static_cast<std::size_t>(std::max(height, width)));
   // Rows.
   for (int y = 0; y < height; ++y) {
     dct1d_into(x.data() + static_cast<std::size_t>(y) * width,
@@ -52,7 +51,6 @@ std::vector<double> transform2d(const std::vector<double>& x, int height, int wi
     dct1d_into(col.data(), col_out.data(), height, inverse);
     for (int y = 0; y < height; ++y) out[static_cast<std::size_t>(y) * width + xcol] = col_out[static_cast<std::size_t>(y)];
   }
-  (void)line;
   return out;
 }
 

@@ -96,14 +96,6 @@ Tensor minimum(const Tensor& a, const Tensor& b) {
   return binary(a, b, "minimum", [](float x, float y) { return x < y ? x : y; });
 }
 
-Tensor apply(const Tensor& a, const std::function<float(float)>& fn) {
-  Tensor out(a.shape());
-  const float* pa = a.data();
-  float* po = out.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) po[i] = fn(pa[i]);
-  return out;
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0)) {
     throw std::invalid_argument("matmul: incompatible shapes " + a.shape().to_string() +

@@ -2,7 +2,6 @@
 // differentiable ops; attacks and the signal tools also use them directly.
 #pragma once
 
-#include <functional>
 
 #include "src/tensor/tensor.h"
 
@@ -27,7 +26,6 @@ Tensor relu_mask(const Tensor& a);  // 1 where a > 0 else 0
 Tensor clamp(const Tensor& a, float lo, float hi);
 Tensor maximum(const Tensor& a, const Tensor& b);
 Tensor minimum(const Tensor& a, const Tensor& b);
-Tensor apply(const Tensor& a, const std::function<float(float)>& fn);
 
 // ---- linear algebra ---------------------------------------------------------
 // All three variants route through the packed, blocked microkernel in

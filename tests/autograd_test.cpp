@@ -427,13 +427,6 @@ TEST(Ops, DepthwiseMatchesSignalFilterInterior) {
       }
 }
 
-TEST(Ops, MaxPoolForward) {
-  Tensor x(Shape::nchw(1, 1, 2, 2), {1.0f, 5.0f, 3.0f, 2.0f});
-  const auto y = maxpool2d(Variable::constant(x), 2, 2);
-  EXPECT_EQ(y.value().numel(), 1);
-  EXPECT_FLOAT_EQ(y.value()[0], 5.0f);
-}
-
 TEST(Ops, SoftmaxCrossEntropyUniformLogits) {
   auto logits = Variable::constant(Tensor::zeros(Shape::mat(2, 4)));
   const auto loss = softmax_cross_entropy(logits, {0, 3});

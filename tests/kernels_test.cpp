@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/kernels/dispatch.h"
+#include "src/signal/dct.h"
 #include "src/util/cpu_caps.h"
 #include "src/util/rng.h"
 #include "tests/test_helpers.h"
@@ -237,25 +238,28 @@ TEST(KernelTable, MedianRowsBitwiseAcrossTargetsOnNanAndSignedZero) {
 // Direct unit check of the dispatched 8x8 DCT pair: forward matches the
 // dispatched-off scalar path bitwise is covered in defense_test; here we
 // check the algebraic contract — inverse(forward(x)) ~= x.
-TEST(KernelTable, Dct8x8RoundTripsWhereSpecialized) {
+TEST(KernelTable, Dct8x8RoundTripsAndMatchesSignalDctBitwise) {
   util::Rng rng(107);
-  double block[64];
+  std::vector<double> block(64);
   for (double& v : block) v = rng.normal();
+  const std::vector<double> want_coeff = signal::dct2d(block, 8, 8);
+  const std::vector<double> want_rebuilt = signal::idct2d(want_coeff, 8, 8);
   for (const auto target : available_kernel_targets()) {
     const kernels::Dct8x8Fn fwd = kernels::dct8x8(target, /*inverse=*/false);
     const kernels::Dct8x8Fn inv = kernels::dct8x8(target, /*inverse=*/true);
-    if (fwd == nullptr || inv == nullptr) {
-      // Specializations ship in pairs; a lone direction would leave the
-      // caller mixing dispatched and generic halves.
-      EXPECT_EQ(fwd, inv) << kernel_target_name(target);
-      continue;
-    }
+    ASSERT_NE(fwd, nullptr) << kernel_target_name(target);
+    ASSERT_NE(inv, nullptr) << kernel_target_name(target);
     double coeff[64], rebuilt[64];
-    fwd(block, coeff);
+    fwd(block.data(), coeff);
     inv(coeff, rebuilt);
     for (int i = 0; i < 64; ++i) {
-      ASSERT_NEAR(rebuilt[i], block[i], 1e-12)
+      ASSERT_NEAR(rebuilt[i], block[static_cast<std::size_t>(i)], 1e-12)
           << kernel_target_name(target) << " elem " << i;
+      // The same fold order and cosine values as the generic transforms.
+      EXPECT_EQ(coeff[i], want_coeff[static_cast<std::size_t>(i)])
+          << kernel_target_name(target) << " forward elem " << i;
+      EXPECT_EQ(rebuilt[i], want_rebuilt[static_cast<std::size_t>(i)])
+          << kernel_target_name(target) << " inverse elem " << i;
     }
   }
 }

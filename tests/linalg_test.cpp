@@ -392,23 +392,27 @@ TEST(Gemm, BitwiseDeterministicAcrossWorkerCounts) {
 }
 
 // Autograd gradcheck routed through the microkernel, at shapes that hit
-// partial register tiles on both sides of matmul's backward (which uses the
-// NT and TN variants).
+// partial register tiles on both sides of dense's backward (the x side uses
+// the NT variant, the w side the TN variant).
 TEST(Gemm, GradcheckThroughMicrokernel) {
   using autograd::Variable;
   util::Rng rng(13);
-  const Tensor a0 = Tensor::randn(Shape::mat(5, 9), rng, 0.0f, 0.5f);
-  const Tensor b0 = Tensor::randn(Shape::mat(9, 7), rng, 0.0f, 0.5f);
-  const Variable b_const = Variable::constant(b0);
-  const auto left = autograd::gradcheck(
-      [&](const Variable& x) { return autograd::sum_squares(autograd::matmul(x, b_const)); },
-      a0);
-  EXPECT_TRUE(left.passed) << "max_rel_error=" << left.max_rel_error;
-  const Variable a_const = Variable::constant(a0);
-  const auto right = autograd::gradcheck(
-      [&](const Variable& x) { return autograd::sum_squares(autograd::matmul(a_const, x)); },
-      b0);
-  EXPECT_TRUE(right.passed) << "max_rel_error=" << right.max_rel_error;
+  const Tensor x0 = Tensor::randn(Shape::mat(5, 9), rng, 0.0f, 0.5f);
+  const Tensor w0 = Tensor::randn(Shape::mat(9, 7), rng, 0.0f, 0.5f);
+  const Variable w_const = Variable::constant(w0);
+  const auto x_side = autograd::gradcheck(
+      [&](const Variable& x) {
+        return autograd::sum_squares(autograd::dense(x, w_const, Variable()));
+      },
+      x0);
+  EXPECT_TRUE(x_side.passed) << "max_rel_error=" << x_side.max_rel_error;
+  const Variable x_const = Variable::constant(x0);
+  const auto w_side = autograd::gradcheck(
+      [&](const Variable& w) {
+        return autograd::sum_squares(autograd::dense(x_const, w, Variable()));
+      },
+      w0);
+  EXPECT_TRUE(w_side.passed) << "max_rel_error=" << w_side.max_rel_error;
 }
 
 // ---------------------------------------------------------------------------

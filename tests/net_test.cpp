@@ -462,7 +462,6 @@ TEST(Server, UnknownVariantErrorListsRegisteredVariants) {
 TEST(Server, OverloadComesBackAsOverloadError) {
   serve::EngineConfig config = small_engine_config();
   config.queue_capacity = 1;
-  config.overload_policy = serve::OverloadPolicy::kReject;
   serve::InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
   engine.register_variant("gated", behind(gate));
@@ -504,72 +503,47 @@ TEST(Server, OverloadComesBackAsOverloadError) {
   server.stop();
 }
 
-TEST(Server, UnboundedBlockAdmissionParksAndStopStaysBounded) {
-  // kBlock with no block timeout: a parked request waits for space as long as
-  // it takes, yet stop() is still bounded by the drain deadline.
+TEST(Server, FullShardShedsOnceAndStallsNoConnection) {
+  // A request that finds its shard full is answered kOverload at once and
+  // counted once in `rejected`; nothing waits for space, so neither its own
+  // connection nor any other stalls while the shard stays full.
   serve::EngineConfig config = small_engine_config();
   config.queue_capacity = 1;
-  config.overload_policy = serve::OverloadPolicy::kBlock;
-  config.block_timeout_ms = 0;
-  serve::InferenceEngine engine(config);
-  auto gate = std::make_shared<GateTransform>();
-  engine.register_variant("gated", behind(gate));
-  ServerConfig server_config;
-  server_config.drain_timeout_ms = 150;
-  Server server(engine, server_config);
-  Client client("127.0.0.1", server.port());
-
-  const auto batch = random_batch(3, 73);
-  client.send_classify(single_image(batch, 0), "gated");
-  gate->wait_entered(1);
-  client.send_classify(single_image(batch, 1), "gated");
-  while (engine.variant_stats("gated").queue_depth < 1) std::this_thread::yield();
-  client.send_classify(single_image(batch, 2), "gated");
-  while (engine.variant_stats("gated").blocked < 1) std::this_thread::yield();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  server.stop();
-  const auto elapsed =
-      std::chrono::duration_cast<std::chrono::milliseconds>(std::chrono::steady_clock::now() - t0);
-  EXPECT_GE(elapsed.count(), 100);
-  EXPECT_LT(elapsed.count(), 5000) << "stop() should be bounded by drain_timeout_ms";
-  gate->open();  // unwedge the engine worker so its destructor can join
-}
-
-TEST(Server, ParkedRequestCountsOnceInBlocked) {
-  serve::EngineConfig config = small_engine_config();
-  config.queue_capacity = 1;
-  config.overload_policy = serve::OverloadPolicy::kBlock;
   serve::InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
   engine.register_variant("gated", behind(gate));
   Server server(engine, {});
-  Client blocked("127.0.0.1", server.port());
+  Client client("127.0.0.1", server.port());
 
-  const auto batch = random_batch(3, 79);
+  const auto batch = random_batch(4, 79);
   std::vector<std::uint32_t> ids;
-  ids.push_back(blocked.send_classify(single_image(batch, 0), "gated"));
+  ids.push_back(client.send_classify(single_image(batch, 0), "gated"));
   gate->wait_entered(1);
-  ids.push_back(blocked.send_classify(single_image(batch, 1), "gated"));
+  ids.push_back(client.send_classify(single_image(batch, 1), "gated"));
   while (engine.variant_stats("gated").queue_depth < 1) std::this_thread::yield();
-  ids.push_back(blocked.send_classify(single_image(batch, 2), "gated"));
-  while (engine.variant_stats("gated").blocked < 1) std::this_thread::yield();
+  EXPECT_THROW(client.classify(single_image(batch, 2), "gated"), serve::OverloadError);
 
-  // Every loop wake retries the parked request; none of the retries counts.
+  // Loop wakes retry nothing: the shed stays counted once.
   Client probe("127.0.0.1", server.port());
+  const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 20; ++i) probe.ping();
-  EXPECT_EQ(engine.variant_stats("gated").blocked, 1);
+  client.ping();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_LT(elapsed.count(), 2000) << "pings stalled behind a full shard";
+  EXPECT_EQ(engine.variant_stats("gated").rejected, 1);
 
   gate->open();
+  const auto expected = engine.classify(batch, serve::Options{"gated"});
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    expect_bitwise_equal(blocked.receive_classify(ids[i]),
-                         engine.classify(single_image(batch, static_cast<std::int64_t>(i)),
-                                         serve::Options{"gated"})[0],
-                         "parked-admission image " + std::to_string(i));
+    expect_bitwise_equal(client.receive_classify(ids[i]), expected[i],
+                         "admitted image " + std::to_string(i));
   }
-  const serve::VariantStats stats = engine.variant_stats("gated");
-  EXPECT_EQ(stats.blocked, 1);
-  EXPECT_EQ(stats.rejected, 0);
+  // The drained shard admits again on the same connection.
+  expect_bitwise_equal(client.classify(single_image(batch, 3), "gated"), expected[3],
+                       "post-drain image");
+  EXPECT_EQ(engine.variant_stats("gated").rejected, 1);
+  EXPECT_EQ(server.stats().overloads, 1);
   server.stop();
 }
 
@@ -650,47 +624,6 @@ TEST(Server, ThreadCountDoesNotDependOnConnectionCount) {
   warm_every_variant(clients);
   EXPECT_EQ(server.stats().open_connections, 16);
   EXPECT_EQ(thread_count(), with_one) << "blurnetd threads grew with its connections";
-  server.stop();
-}
-
-TEST(Server, EventLoopStaysResponsiveWhileBlockAdmissionWaits) {
-  serve::EngineConfig config = small_engine_config();
-  config.queue_capacity = 1;
-  config.overload_policy = serve::OverloadPolicy::kBlock;
-  config.block_timeout_ms = 10000;
-  serve::InferenceEngine engine(config);
-  auto gate = std::make_shared<GateTransform>();
-  engine.register_variant("gated", behind(gate));
-  Server server(engine, {});
-
-  // Fill the gated variant: one request parked inside the gate, one in the
-  // single queue slot, and a third whose admission must wait for space.
-  Client blocked("127.0.0.1", server.port());
-  const auto batch = random_batch(3, 67);
-  std::vector<std::uint32_t> ids;
-  ids.push_back(blocked.send_classify(single_image(batch, 0), "gated"));
-  gate->wait_entered(1);
-  ids.push_back(blocked.send_classify(single_image(batch, 1), "gated"));
-  while (engine.variant_stats("gated").queue_depth < 1) std::this_thread::yield();
-  ids.push_back(blocked.send_classify(single_image(batch, 2), "gated"));
-  while (engine.variant_stats("gated").blocked < 1) std::this_thread::yield();
-
-  // The parked request stalls only its own connection; the event loop must
-  // keep serving other connections meanwhile.
-  Client probe("127.0.0.1", server.port());
-  const auto t0 = std::chrono::steady_clock::now();
-  probe.ping();
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - t0);
-  EXPECT_LT(elapsed.count(), 2000) << "ping stalled behind a blocking admission";
-
-  gate->open();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    expect_bitwise_equal(blocked.receive_classify(ids[i]),
-                         engine.classify(single_image(batch, static_cast<std::int64_t>(i)),
-                                         serve::Options{"gated"})[0],
-                         "blocked-admission image " + std::to_string(i));
-  }
   server.stop();
 }
 

@@ -725,7 +725,7 @@ TEST(Engine, ConfidenceIsSoftmaxOfPredictedLabel) {
   EXPECT_EQ(prediction.logits.size(), 18u);
 }
 
-// ---- bounded queues & overload policies -------------------------------------
+// ---- bounded queues that shed ----------------------------------------------
 
 /// Preprocess stage whose apply() blocks until released — the deterministic
 /// way to hold a variant's worker mid-batch and fill its bounded queue.
@@ -767,35 +767,11 @@ TEST(EngineConfig, ValidatesQueueAndOverloadKnobs) {
   EXPECT_THROW(InferenceEngine{config}, std::invalid_argument);
   config.queue_capacity = -3;
   EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  config = small_engine_config();
-  config.block_timeout_ms = -1;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  // The nonsensical combination: a reject-policy engine never waits.
-  config = small_engine_config();
-  config.overload_policy = OverloadPolicy::kReject;
-  config.block_timeout_ms = 100;
-  try {
-    config.validate();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("block_timeout_ms"), std::string::npos) << message;
-    EXPECT_NE(message.find("kBlock"), std::string::npos) << message;
-  }
-
-  // The same timeout is fine under kBlock.
-  config.overload_policy = OverloadPolicy::kBlock;
-  EXPECT_NO_THROW(config.validate());
-  config.block_timeout_ms = 0;
-  EXPECT_NO_THROW(config.validate());
 }
 
 TEST(Engine, RejectPolicyShedsWhenQueueIsFullAndServesAfterDraining) {
   EngineConfig config = small_engine_config();
   config.queue_capacity = 2;
-  config.overload_policy = OverloadPolicy::kReject;
   InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
   engine.register_variant("gated", behind(gate));
@@ -816,7 +792,6 @@ TEST(Engine, RejectPolicyShedsWhenQueueIsFullAndServesAfterDraining) {
   EXPECT_EQ(stats.queue_depth, 2);
   EXPECT_EQ(stats.queue_peak, 2);
   EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.blocked, 0);
 
   // Release the gate: every admitted request resolves, bitwise equal to the
   // synchronous path, and the drained engine serves new traffic again.
@@ -834,161 +809,6 @@ TEST(Engine, RejectPolicyShedsWhenQueueIsFullAndServesAfterDraining) {
   EXPECT_GT(stats.latency.p99_us, 0.0);
 }
 
-TEST(Engine, BlockPolicyBackpressuresUntilASlotFrees) {
-  EngineConfig config = small_engine_config();
-  config.queue_capacity = 1;
-  config.overload_policy = OverloadPolicy::kBlock;
-  InferenceEngine engine(config);
-  auto gate = std::make_shared<GateTransform>();
-  engine.register_variant("gated", behind(gate));
-
-  const auto batch = random_batch(4, 73);
-  const Options options{"gated"};
-  auto first = engine.submit(single_image(batch, 0), options);
-  gate->wait_entered(1);                                        // worker parked
-  auto second = engine.submit(single_image(batch, 1), options);  // queue now full
-
-  std::atomic<bool> third_submitted{false};
-  std::future<Prediction> third;
-  std::thread submitter([&] {
-    third = engine.submit(single_image(batch, 2), options);  // must block
-    third_submitted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_submitted.load());  // still backpressured
-
-  gate->open();  // worker drains; the blocked submit admits and resolves
-  submitter.join();
-  EXPECT_TRUE(third_submitted.load());
-
-  const auto expected = engine.classify(batch, options);
-  expect_bitwise_equal(first.get(), expected[0], "first");
-  expect_bitwise_equal(second.get(), expected[1], "second");
-  expect_bitwise_equal(third.get(), expected[2], "third");
-  const VariantStats stats = engine.variant_stats("gated");
-  EXPECT_EQ(stats.rejected, 0);
-  EXPECT_GE(stats.blocked, 1);
-  EXPECT_EQ(stats.queue_peak, 1);
-}
-
-TEST(Engine, BlockPolicyTimeoutShedsWithOverloadError) {
-  EngineConfig config = small_engine_config();
-  config.queue_capacity = 1;
-  config.overload_policy = OverloadPolicy::kBlock;
-  config.block_timeout_ms = 40;
-  InferenceEngine engine(config);
-  auto gate = std::make_shared<GateTransform>();
-  engine.register_variant("gated", behind(gate));
-
-  const auto batch = random_batch(3, 77);
-  const Options options{"gated"};
-  auto first = engine.submit(single_image(batch, 0), options);
-  gate->wait_entered(1);
-  auto second = engine.submit(single_image(batch, 1), options);  // fills the queue
-  try {
-    engine.submit(single_image(batch, 2), options);
-    FAIL() << "expected OverloadError after the block timeout";
-  } catch (const OverloadError& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("timed out"), std::string::npos) << message;
-  }
-  const VariantStats stats = engine.variant_stats("gated");
-  EXPECT_EQ(stats.rejected, 1);
-  EXPECT_GE(stats.blocked, 1);
-  gate->open();
-  first.get();
-  second.get();
-}
-
-/// A gate that admits one apply() per release(): lets a test free exactly one
-/// queue slot at a time and watch who gets it.
-class StepGate : public defense::InputTransform {
- public:
-  StepGate() : InputTransform(defense::TransformSpec::none(), "step-gate") {}
-
-  tensor::Tensor apply(const tensor::Tensor& images) const override {
-    entered_.fetch_add(1);
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return tokens_ > 0; });
-    --tokens_;
-    return images.clone();
-  }
-
-  /// Spin until `n` apply() calls have started (a worker holds a batch).
-  void wait_entered(int n) const {
-    while (entered_.load() < n) std::this_thread::yield();
-  }
-
-  void release(int n = 1) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tokens_ += n;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  mutable std::atomic<int> entered_{0};
-  mutable std::mutex mutex_;
-  mutable std::condition_variable cv_;
-  mutable int tokens_ = 0;
-};
-
-TEST(Engine, BlockAdmissionIsFifo) {
-  // One replica, a one-slot queue, and a gate that serves one image per
-  // release: freeing a single slot must admit the *longest-waiting* blocked
-  // submitter, not whichever thread the scheduler happens to wake.
-  EngineConfig config = small_engine_config();
-  config.queue_capacity = 1;
-  config.overload_policy = OverloadPolicy::kBlock;
-  InferenceEngine engine(config);
-  auto gate = std::make_shared<StepGate>();
-  engine.register_variant("gated", behind(gate));
-
-  const auto batch = random_batch(4, 83);
-  Options options{"gated"};
-  options.max_batch = 1;  // one image per coalesced batch: slots free one at a time
-
-  auto leader = engine.submit(single_image(batch, 0), options);
-  gate->wait_entered(1);                                         // worker parks in the gate
-  auto filler = engine.submit(single_image(batch, 1), options);  // queue now full
-
-  auto blocked_count = [&] { return engine.variant_stats("gated").blocked; };
-  std::atomic<bool> first_admitted{false}, second_admitted{false};
-  std::future<Prediction> first_waiter, second_waiter;
-  std::thread first_thread([&] {
-    first_waiter = engine.submit(single_image(batch, 2), options);
-    first_admitted.store(true);
-  });
-  while (blocked_count() < 1) std::this_thread::yield();  // first waiter is in line
-  std::thread second_thread([&] {
-    second_waiter = engine.submit(single_image(batch, 3), options);
-    second_admitted.store(true);
-  });
-  while (blocked_count() < 2) std::this_thread::yield();  // second waiter queued behind
-
-  // Serve the leader: the worker then pops the filler, freeing exactly one
-  // slot. FIFO admission means the first waiter takes it — deterministically.
-  gate->release();
-  while (!first_admitted.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(second_admitted.load()) << "slot went to the later arrival";
-
-  // Serve the filler: the next freed slot admits the second waiter.
-  gate->release();
-  second_thread.join();
-  EXPECT_TRUE(second_admitted.load());
-  first_thread.join();
-
-  gate->release(100);  // let the waiters' requests and the check below through
-  const auto expected = engine.classify(batch, options);
-  expect_bitwise_equal(leader.get(), expected[0], "leader");
-  expect_bitwise_equal(filler.get(), expected[1], "filler");
-  expect_bitwise_equal(first_waiter.get(), expected[2], "first waiter");
-  expect_bitwise_equal(second_waiter.get(), expected[3], "second waiter");
-  EXPECT_GE(engine.variant_stats("gated").blocked, 2);
-}
-
 TEST(Engine, SubmitIsBitwiseDeterministicAcrossQueueCapacities) {
   const auto batch = random_batch(12, 79);
   const InferenceEngine reference(small_engine_config());
@@ -998,16 +818,23 @@ TEST(Engine, SubmitIsBitwiseDeterministicAcrossQueueCapacities) {
     for (const int replicas : {1, 3}) {
       EngineConfig config = small_engine_config(replicas);
       config.queue_capacity = capacity;
-      // Backpressure, never shed: every request is served no matter how
-      // small the queue, so the comparison covers all 12 images.
-      config.overload_policy = OverloadPolicy::kBlock;
       InferenceEngine engine(config);
-      std::vector<std::future<Prediction>> futures;
+      // A full queue sheds; the test retries each refused request until a
+      // worker frees a slot, so the comparison covers all 12 images.
+      std::vector<std::promise<Prediction>> promises(static_cast<std::size_t>(batch.dim(0)));
       for (std::int64_t i = 0; i < batch.dim(0); ++i) {
-        futures.push_back(engine.submit(single_image(batch, i)));
+        auto& promise = promises[static_cast<std::size_t>(i)];
+        const auto done = [&promise](Prediction prediction, std::exception_ptr error) {
+          if (error) {
+            promise.set_exception(error);
+          } else {
+            promise.set_value(std::move(prediction));
+          }
+        };
+        while (!engine.try_submit(single_image(batch, i), {}, done)) std::this_thread::yield();
       }
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        expect_bitwise_equal(futures[i].get(), expected[i],
+      for (std::size_t i = 0; i < promises.size(); ++i) {
+        expect_bitwise_equal(promises[i].get_future().get(), expected[i],
                              "capacity " + std::to_string(capacity) + " replicas " +
                                  std::to_string(replicas) + " image " + std::to_string(i));
       }
@@ -1144,7 +971,6 @@ TEST(Engine, CompletionResultsMatchTheFuturePathAcrossReplicaCounts) {
 TEST(Engine, RefusedTrySubmitUnderRejectCountsOnceAndNeverCompletes) {
   EngineConfig config = small_engine_config();
   config.queue_capacity = 1;
-  config.overload_policy = OverloadPolicy::kReject;
   InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
   engine.register_variant("gated", behind(gate));
@@ -1158,7 +984,6 @@ TEST(Engine, RefusedTrySubmitUnderRejectCountsOnceAndNeverCompletes) {
   EXPECT_FALSE(engine.try_submit(single_image(batch, 2), options, probe.make()));
   VariantStats stats = engine.variant_stats("gated");
   EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.blocked, 0);
 
   gate->open();
   probe.wait_for(2);
@@ -1169,42 +994,32 @@ TEST(Engine, RefusedTrySubmitUnderRejectCountsOnceAndNeverCompletes) {
   EXPECT_EQ(stats.latency.count, 2);
 }
 
-TEST(Engine, ParkedTrySubmitUnderBlockCountsOnceInBlocked) {
-  // The event-loop pattern: a refused request is parked by the caller and
-  // retried with retry = true until the shard has space.
+TEST(Engine, RequestMaxBatchCannotRaiseTheEngineCap) {
+  // Options::max_batch may lower the engine's batch cap, never raise it: a
+  // request asking for 4x the cap still leads coalesced batches of at most
+  // EngineConfig::max_batch images.
   EngineConfig config = small_engine_config();
-  config.queue_capacity = 1;
-  config.overload_policy = OverloadPolicy::kBlock;
+  config.max_batch = 2;
   InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
   engine.register_variant("gated", behind(gate));
-  const auto batch = random_batch(3, 113);
-  const Options options{"gated"};
+  const auto batch = random_batch(9, 127);
+  Options options{"gated"};
+  options.max_batch = 4 * config.max_batch;
 
-  CompletionProbe probe;
-  ASSERT_TRUE(engine.try_submit(single_image(batch, 0), options, probe.make()));
-  gate->wait_entered(1);
-  ASSERT_TRUE(engine.try_submit(single_image(batch, 1), options, probe.make()));
-  EXPECT_FALSE(engine.try_submit(single_image(batch, 2), options, probe.make()));
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    EXPECT_FALSE(engine.try_submit(single_image(batch, 2), options, probe.make(), true));
+  std::vector<std::future<Prediction>> futures;
+  futures.push_back(engine.submit(single_image(batch, 0), options));
+  gate->wait_entered(1);  // the worker holds image 0; the rest queue up behind it
+  for (std::int64_t i = 1; i < batch.dim(0); ++i) {
+    futures.push_back(engine.submit(single_image(batch, i), options));
   }
-  EXPECT_EQ(engine.variant_stats("gated").blocked, 1);
-
   gate->open();
-  while (!engine.try_submit(single_image(batch, 2), options, probe.make(), true)) {
-    std::this_thread::yield();
-  }
-  probe.wait_for(3);
-  const VariantStats stats = engine.variant_stats("gated");
-  EXPECT_EQ(stats.blocked, 1);
-  EXPECT_EQ(stats.rejected, 0);
   const auto expected = engine.classify(batch, options);
-  for (std::size_t i = 0; i < 3; ++i) {
-    bool found = false;
-    for (const auto& prediction : probe.predictions) found |= prediction.logits == expected[i].logits;
-    EXPECT_TRUE(found) << "image " << i;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    expect_bitwise_equal(futures[i].get(), expected[i], "image " + std::to_string(i));
   }
+  // Eight queued images coalesce into batches of the engine's cap, no larger.
+  EXPECT_EQ(engine.stats().largest_batch, config.max_batch);
 }
 
 // ---- request arena: allocation-free steady state ----------------------------

@@ -12,14 +12,24 @@ Deterministic: running it twice produces byte-identical files. Run from the
 repo root after changing the wire format:
 
     python3 tools/make_fuzz_corpus.py
+
+`--check` regenerates into a temporary directory instead and exits nonzero,
+listing every corpus file that differs, is missing or is not generated, when
+fuzz/corpus/ does not match this script's output:
+
+    python3 tools/make_fuzz_corpus.py --check
 """
+import argparse
+import filecmp
 import os
 import struct
+import sys
+import tempfile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fuzz", "corpus")
 
 MAGIC = 0x544E4C42
-VERSION = 1
+VERSION = 2
 
 OP_CLASSIFY = 0x01
 OP_CLASSIFY_BATCH = 0x02
@@ -76,7 +86,7 @@ def stats_payload(variants=1, connections=1):
     body = b"".join(i64(v) for v in range(14))
     body += u32(variants)
     for i in range(variants):
-        body += wstr(f"variant{i}") + b"".join(i64(j) for j in range(8))
+        body += wstr(f"variant{i}") + b"".join(i64(j) for j in range(7))
         body += b"".join(f64(1.5 * j) for j in range(4))
     body += u32(connections)
     for i in range(connections):
@@ -100,14 +110,13 @@ def model_checkpoint(count=2, truncate=None, dims_len=None, data_len=None):
     return body if truncate is None else body[:truncate]
 
 
-def write(sub, name, data):
-    path = os.path.join(ROOT, sub)
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, name), "wb") as f:
-        f.write(data)
+def generate(root):
+    def write(sub, name, data):
+        path = os.path.join(root, sub)
+        os.makedirs(path, exist_ok=True)
+        with open(os.path.join(path, name), "wb") as f:
+            f.write(data)
 
-
-def main():
     # ---- frame/: framing-layer seeds (full frames, header attacks) ----------
     write("frame", "ping", build_frame(OP_PING, b""))
     write("frame", "classify_valid", build_frame(OP_CLASSIFY, classify_payload()))
@@ -192,13 +201,45 @@ def main():
     write("serialize", "truncated_scalar", u32(1) + b"\x01\x02")
     write("serialize", "empty", b"")
 
+
+def corpus_files(root):
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, files in os.walk(root) for f in files)
+
+
+def check():
+    """Compare the checked-in corpus with a fresh generation; 0 when equal."""
+    with tempfile.TemporaryDirectory() as fresh:
+        generate(fresh)
+        want, have = corpus_files(fresh), corpus_files(ROOT)
+        problems = [f"{f}: missing" for f in want if f not in have]
+        problems += [f"{f}: not generated" for f in have if f not in want]
+        problems += [f"{f}: differs" for f in want if f in have and not filecmp.cmp(
+            os.path.join(fresh, f), os.path.join(ROOT, f), shallow=False)]
+    for problem in problems:
+        print(f"fuzz/corpus/{problem}")
+    if problems:
+        print(f"{len(problems)} corpus files out of date; run python3 tools/make_fuzz_corpus.py")
+        return 1
+    print(f"fuzz corpus matches tools/make_fuzz_corpus.py ({len(want)} files)")
+    return 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--check", action="store_true",
+                        help="fail if fuzz/corpus/ differs from a fresh generation")
+    if parser.parse_args().check:
+        return check()
+    generate(ROOT)
     total = 0
     for sub in sorted(os.listdir(ROOT)):
         n = len(os.listdir(os.path.join(ROOT, sub)))
         total += n
         print(f"  {sub}/: {n} seeds")
     print(f"{total} corpus files under {os.path.normpath(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
