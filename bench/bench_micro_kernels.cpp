@@ -202,11 +202,7 @@ BENCHMARK(BM_AffineWarpBatch)->Arg(1)->Arg(8)->Arg(32);
 // with K while wall time per iteration rises sublinearly).
 void BM_Rp2EotPoses(benchmark::State& state) {
   const int poses = static_cast<int>(state.range(0));
-  nn::LisaCnnConfig config;
-  config.conv1_filters = 8;
-  config.conv2_filters = 16;
-  config.conv3_filters = 32;
-  const nn::LisaCnn model(config);
+  const nn::LisaCnn model{nn::LisaCnnConfig{}};  // paper width: 16/32/64 filters
   const auto stop_set = data::stop_sign_eval_set(2);
   const auto sticker = attack::sticker_mask(stop_set.masks);
   attack::Rp2Config rp2;
@@ -363,11 +359,7 @@ void BM_MatMul(benchmark::State& state) {
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(256);
 
 void BM_LisaCnnInference(benchmark::State& state) {
-  nn::LisaCnnConfig config;
-  config.conv1_filters = 8;
-  config.conv2_filters = 16;
-  config.conv3_filters = 32;
-  const nn::LisaCnn model(config);
+  const nn::LisaCnn model{nn::LisaCnnConfig{}};  // paper width: 16/32/64 filters
   const auto x = random_nchw(state.range(0), 3, 32, 32);
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.logits(x).data());
@@ -376,11 +368,9 @@ void BM_LisaCnnInference(benchmark::State& state) {
 }
 BENCHMARK(BM_LisaCnnInference)->Arg(1)->Arg(16);
 
+// The paper-width (16/32/64) model with the deployed first-layer blur.
 serve::EngineConfig bench_engine_config() {
   serve::EngineConfig config;
-  config.model.conv1_filters = 8;
-  config.model.conv2_filters = 16;
-  config.model.conv3_filters = 32;
   config.defense = {nn::FilterPlacement::kAfterLayer1, 5, signal::KernelKind::kBox};
   return config;
 }

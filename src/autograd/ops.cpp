@@ -54,15 +54,49 @@ ConvScratch& conv_scratch() {
 
 // The shape of one implicit-GEMM convolution: C[f, oh*ow] = W[f, patch] *
 // cols[patch, oh*ow], where cols is the im2col matrix of a padded image and
-// is never materialized.
+// is never materialized. The padded image is stored in column phases (see
+// pad_phases_into): each padded row is `stride` runs of `wq` floats, so
+// padded column x sits at float (x % stride) * wq + x / stride of its row.
+// At stride 1 that is the plain padded row (wq == wp).
 struct ConvGeometry {
-  std::int64_t c, hp, wp, kh, kw, stride, oh, ow, f, patch;
+  std::int64_t c, hp, wp, kh, kw, stride, oh, ow, f, patch, wq;
 };
+
+// Pad one [c, h, w] image by `pad` zeros on every side into the column-phase
+// layout of ConvGeometry. Output column ox reads tap fx at phase
+// fx % stride, index ox + fx / stride, so the kNr consecutive columns of a
+// strip read consecutive floats for every tap at every stride. Phase slots
+// past the padded width are zeroed but never read.
+void pad_phases_into(const float* image, const ConvGeometry& g, int pad,
+                     float* out) {
+  const std::int64_t h = g.hp - 2 * pad, w = g.wp - 2 * pad;
+  const std::int64_t pitch = g.stride * g.wq;
+  for (std::int64_t ic = 0; ic < g.c; ++ic) {
+    float* plane = out + ic * g.hp * pitch;
+    std::fill(plane, plane + pad * pitch, 0.0f);
+    std::fill(plane + (pad + h) * pitch, plane + g.hp * pitch, 0.0f);
+    for (std::int64_t y = 0; y < h; ++y) {
+      const float* src = image + (ic * h + y) * w;
+      float* row = plane + (pad + y) * pitch;
+      for (std::int64_t p = 0; p < g.stride; ++p) {
+        // Phase p holds padded columns p, p + stride, ...; the image columns
+        // among them are x = q * stride + p - pad for q in [q0, q1).
+        const std::int64_t q0 = std::max<std::int64_t>(0, (pad - p + g.stride - 1) / g.stride);
+        const std::int64_t q1 = std::max(q0, (w + pad - p + g.stride - 1) / g.stride);
+        float* dst = row + p * g.wq;
+        std::fill(dst, dst + q0, 0.0f);
+        for (std::int64_t q = q0; q < q1; ++q) dst[q] = src[q * g.stride + p - pad];
+        std::fill(dst + q1, dst + g.wq, 0.0f);
+      }
+    }
+  }
+}
 
 // Pack W[f, patch] into mr-tall row panels, one set per kKc k-block:
 //   packed[f_tiles*mr*kb + (it*kc + kk)*mr + ii] = W[it*mr + ii, kb + kk]
 // zero filled past the last filter — exactly linalg's A-panel layout, so
-// the microtile sees the same operands the explicit GEMM packed.
+// the microtile sees the same operands the explicit GEMM packed. W is read
+// one filter row at a time, front to back.
 void pack_conv_weights(const float* w, std::int64_t f, std::int64_t patch,
                        std::int64_t mr, float* packed) {
   const std::int64_t f_tiles = (f + mr - 1) / mr;
@@ -71,11 +105,12 @@ void pack_conv_weights(const float* w, std::int64_t f, std::int64_t patch,
     for (std::int64_t it = 0; it < f_tiles; ++it) {
       float* dst = packed + f_tiles * mr * kb + it * kc * mr;
       const std::int64_t rn = std::min(mr, f - it * mr);
-      for (std::int64_t kk = 0; kk < kc; ++kk) {
-        for (std::int64_t ii = 0; ii < rn; ++ii) {
-          dst[kk * mr + ii] = w[(it * mr + ii) * patch + kb + kk];
-        }
-        std::fill(dst + kk * mr + rn, dst + (kk + 1) * mr, 0.0f);
+      for (std::int64_t ii = 0; ii < rn; ++ii) {
+        const float* wrow = w + (it * mr + ii) * patch + kb;
+        for (std::int64_t kk = 0; kk < kc; ++kk) dst[kk * mr + ii] = wrow[kk];
+      }
+      for (std::int64_t ii = rn; ii < mr; ++ii) {
+        for (std::int64_t kk = 0; kk < kc; ++kk) dst[kk * mr + ii] = 0.0f;
       }
     }
   }
@@ -84,34 +119,35 @@ void pack_conv_weights(const float* w, std::int64_t f, std::int64_t patch,
 // Pack columns [j0, j0+jn) of the implicit im2col matrix of one padded
 // image into a patch x kNr strip (row kk = patch index (ic, fy, fx)),
 // zero filled past jn. A full strip inside one output row is a contiguous
-// copy at stride 1 and a strided copy otherwise; a strip that wraps rows
-// gathers through per-column offsets.
+// copy at every stride (the column-phase layout makes it so); a strip that
+// wraps rows gathers through per-column offsets.
 void pack_conv_strip(const float* src, const ConvGeometry& g, std::int64_t j0,
                      std::int64_t jn, float* strip) {
   constexpr std::int64_t nr = linalg::kNr;
+  const std::int64_t pitch = g.stride * g.wq;  // floats per padded row
   std::int64_t offset[nr];
   for (std::int64_t jj = 0; jj < jn; ++jj) {
     const std::int64_t oy = (j0 + jj) / g.ow, ox = (j0 + jj) % g.ow;
-    offset[jj] = oy * g.stride * g.wp + ox * g.stride;
+    offset[jj] = oy * g.stride * pitch + ox;
   }
-  // Visit every tap row of the patch in (ic, fy, fx) order.
+  // Visit every tap row of the patch in (ic, fy, fx) order; tap fx starts
+  // at phase fx % stride, index fx / stride of its padded row.
   auto for_each_tap = [&](auto&& copy) {
     float* dst = strip;
     for (std::int64_t ic = 0; ic < g.c; ++ic) {
       for (std::int64_t fy = 0; fy < g.kh; ++fy) {
-        const float* row = src + (ic * g.hp + fy) * g.wp;
-        for (std::int64_t fx = 0; fx < g.kw; ++fx, dst += nr) copy(row + fx, dst);
+        const float* row = src + (ic * g.hp + fy) * pitch;
+        std::int64_t phase = 0, index = 0;
+        for (std::int64_t fx = 0; fx < g.kw; ++fx, dst += nr) {
+          copy(row + phase * g.wq + index, dst);
+          if (++phase == g.stride) phase = 0, ++index;
+        }
       }
     }
   };
-  const bool one_row = jn == nr && j0 % g.ow + nr <= g.ow;
-  if (one_row && g.stride == 1) {
+  if (jn == nr && j0 % g.ow + nr <= g.ow) {
     for_each_tap([&](const float* tap, float* dst) {
       std::memcpy(dst, tap + offset[0], nr * sizeof(float));
-    });
-  } else if (one_row && g.stride == 2) {
-    for_each_tap([&](const float* tap, float* dst) {
-      for (std::int64_t jj = 0; jj < nr; ++jj) dst[jj] = tap[offset[0] + 2 * jj];
     });
   } else {
     for_each_tap([&](const float* tap, float* dst) {
@@ -121,20 +157,21 @@ void pack_conv_strip(const float* src, const ConvGeometry& g, std::int64_t j0,
   }
 }
 
-// One image of the implicit-GEMM forward: out[f, oh*ow] = W * cols + bias.
-// Per output element this is the explicit GEMM's exact float program — the
-// same microtile over the same packed operands, ascending k split at kKc,
-// the first block stored and later blocks added — with the bias added after
-// the last block, i.e. after the whole GEMM.
+// One image of the implicit-GEMM forward: out[f, oh*ow] = W * cols + bias,
+// rectified when `relu`. Per output element this is the explicit GEMM's
+// exact float program — the same microtile over the same packed operands,
+// ascending k split at kKc, the first block stored and later blocks added —
+// with the bias added after the last block, i.e. after the whole GEMM, and
+// then tensor::relu's select, all in the tile store's one pass.
 void conv_image_forward(const float* image, const ConvGeometry& g, int pad,
                         const float* packed_w, const kernels::GemmMicrokernel& mk,
-                        const float* bias, float* out) {
+                        kernels::GemmStoreFn store, const float* bias, bool relu,
+                        float* out) {
   auto& scratch = conv_scratch();
-  const float* src = image;
-  if (pad > 0) {
-    scratch.padded.resize(static_cast<std::size_t>(g.c * g.hp * g.wp));
-    tensor::pad2d_into(image, g.c, g.hp - 2 * pad, g.wp - 2 * pad, pad, pad,
-                       scratch.padded.data());
+  const float* src = image;  // an unpadded stride-1 image is its own layout
+  if (pad > 0 || g.stride > 1) {
+    scratch.padded.resize(static_cast<std::size_t>(g.c * g.hp * g.stride * g.wq));
+    pad_phases_into(image, g, pad, scratch.padded.data());
     src = scratch.padded.data();
   }
   constexpr std::int64_t nr = linalg::kNr;
@@ -153,20 +190,8 @@ void conv_image_forward(const float* image, const ConvGeometry& g, int pad,
       for (std::int64_t it = 0; it < f_tiles; ++it) {
         float acc[kernels::kGemmMaxMr * nr];
         mk.fn(kc, packed_w + f_tiles * mr * kb + it * kc * mr, strip + kb * nr, nr, acc);
-        const std::int64_t rn = std::min(mr, g.f - it * mr);
-        for (std::int64_t ii = 0; ii < rn; ++ii) {
-          const std::int64_t row = it * mr + ii;
-          float* crow = out + row * cols + j0;
-          const float* arow = acc + ii * nr;
-          if (first) {
-            for (std::int64_t jj = 0; jj < jn; ++jj) crow[jj] = arow[jj];
-          } else {
-            for (std::int64_t jj = 0; jj < jn; ++jj) crow[jj] += arow[jj];
-          }
-          if (last && bias != nullptr) {
-            for (std::int64_t jj = 0; jj < jn; ++jj) crow[jj] += bias[row];
-          }
-        }
+        store(acc, std::min(mr, g.f - it * mr), jn, out + it * mr * cols + j0, cols, first,
+              last && bias != nullptr ? bias + it * mr : nullptr, last && relu);
       }
     }
   }
@@ -376,7 +401,7 @@ Variable dense(const Variable& x, const Variable& w, const Variable& b) {
 // ---- convolutions -----------------------------------------------------------
 
 Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int stride,
-                int pad) {
+                int pad, Activation activation) {
   if (x.shape().rank() != 4 || w.shape().rank() != 4) {
     throw std::invalid_argument("conv2d: x must be NCHW, w must be [F,C,kh,kw]");
   }
@@ -406,19 +431,24 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
   // are packed straight from the padded planes into an L1-resident tile.
   // Parallel over images only, so a batch-1 call runs on its calling thread:
   // fanning one image out over the pool did not pay at batch 1 (README
-  // "Implicit-GEMM conv forward").
-  const kernels::GemmMicrokernel& mk = kernels::gemm_microkernel(util::active_kernel_target());
-  const ConvGeometry g{c, hp, wp, kh, kw, stride, oh, ow, f, patch};
+  // "Implicit-GEMM conv forward"). The tile store adds the bias and, fused,
+  // applies the ReLU as it writes each tile, so neither is a separate pass.
+  const util::KernelTarget target = util::active_kernel_target();
+  const kernels::GemmMicrokernel& mk = kernels::gemm_microkernel(target);
+  const kernels::GemmStoreFn store = kernels::gemm_store(target);
+  const std::int64_t mr = mk.mr;
+  const ConvGeometry g{c, hp, wp, kh, kw, stride, oh, ow, f, patch, (wp + stride - 1) / stride};
   auto& packed = conv_scratch().packed_w;
-  packed.resize(static_cast<std::size_t>((f + mk.mr - 1) / mk.mr * mk.mr * patch));
-  pack_conv_weights(w.value().data(), f, patch, mk.mr, packed.data());
+  packed.resize(static_cast<std::size_t>((f + mr - 1) / mr * mr * patch));
+  pack_conv_weights(w.value().data(), f, patch, mr, packed.data());
   const float* packed_w = packed.data();
   const float* bias = b.defined() ? b.value().data() : nullptr;
+  const bool relu = activation == Activation::kRelu;
   const float* xv = x.value().data();
   Tensor out(Shape::nchw(n, f, oh, ow));
   util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
     for (std::int64_t in = n0; in < n1; ++in) {
-      conv_image_forward(xv + in * c * h * wdim, g, pad, packed_w, mk, bias,
+      conv_image_forward(xv + in * c * h * wdim, g, pad, packed_w, mk, store, bias, relu,
                          out.data() + in * f * oh * ow);
     }
   }, /*min_chunk=*/1);
@@ -426,9 +456,26 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
   if (!needs_grad(x, w, b)) return Variable::constant(std::move(out));
 
   return make_op(
-      "conv2d", std::move(out), {x, w, b},
-      [x, w, b, n, c, f, kh, kw, stride, pad, hp, wp, oh, ow, patch](Node& node) mutable {
-        const Tensor& g = node.grad();  // [n, f, oh, ow]
+      relu ? "conv2d_relu" : "conv2d", std::move(out), {x, w, b},
+      [x, w, b, n, c, f, kh, kw, stride, pad, hp, wp, oh, ow, patch, relu](Node& node) mutable {
+        // Fused, the node stands for conv2d -> relu. That chain hands the conv
+        // node 0 + g * relu_mask(pre): relu's backward multiplies by the mask
+        // and accumulate_grad adds the product into a zeroed gradient. The
+        // pre-activation is > 0 exactly where the stored output is, so the
+        // mask comes from the node's value, and the same float ops make
+        // dX/dW/db bitwise the chain's (a masked -g arrives as +0, a masked
+        // NaN or Inf g as NaN).
+        Tensor masked;
+        if (relu) {
+          masked = Tensor(node.value().shape());
+          const float* up = node.grad().data();
+          const float* v = node.value().data();
+          float* dst = masked.data();
+          for (std::int64_t i = 0; i < masked.numel(); ++i) {
+            dst[i] = 0.0f + up[i] * (v[i] > 0 ? 1.0f : 0.0f);
+          }
+        }
+        const Tensor& g = relu ? masked : node.grad();  // [n, f, oh, ow]
         if (w.requires_grad()) {
           // dW[f, patch] accumulates G_in * Cols_in^T across the batch. The
           // column matrix is built here, not kept from the forward, so only

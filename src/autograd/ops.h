@@ -47,11 +47,16 @@ Variable relu(const Variable& a);
 Variable dense(const Variable& x, const Variable& w, const Variable& b);
 
 // ---- convolutions -----------------------------------------------------------
+/// What a layer applies to its output before returning it.
+enum class Activation { kNone, kRelu };
+
 /// Standard convolution: x NCHW, w [F,C,kh,kw], b [F] (optional, may be
 /// undefined). Symmetric zero padding `pad`, square stride. Throws
-/// std::invalid_argument for stride < 1 or pad < 0.
+/// std::invalid_argument for stride < 1 or pad < 0. With Activation::kRelu
+/// the ReLU runs in the conv's own store pass: value and dX/dW/db are
+/// bitwise those of relu(conv2d(...)), in one node instead of two.
 Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int stride,
-                int pad);
+                int pad, Activation activation = Activation::kNone);
 /// Depthwise convolution with same padding, stride 1: w [C,kh,kw], optional
 /// b [C]. Each channel filtered independently — the paper's filter layer.
 Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Variable& b);

@@ -32,6 +32,29 @@ void gemm_microtile_scalar(std::int64_t kc, const float* ap, const float* b,
   for (std::int64_t i = 0; i < mr * kGemmNr; ++i) acc[i] = local[i];
 }
 
+}  // namespace
+
+namespace detail {
+
+void gemm_store_scalar(const float* acc, std::int64_t rows, std::int64_t cols,
+                       float* c, std::int64_t ldc, bool first, const float* bias,
+                       bool relu) {
+  for (std::int64_t ii = 0; ii < rows; ++ii) {
+    float* crow = c + ii * ldc;
+    const float* arow = acc + ii * kGemmNr;
+    for (std::int64_t jj = 0; jj < cols; ++jj) {
+      float v = first ? arow[jj] : crow[jj] + arow[jj];
+      if (bias != nullptr) v = v + bias[ii];
+      if (relu) v = v > 0 ? v : 0.0f;
+      crow[jj] = v;
+    }
+  }
+}
+
+}  // namespace detail
+
+namespace {
+
 void tap_row_scalar(const float* src, std::int64_t stride, const float* ker,
                     int kh, int kw, float* dst, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) {
@@ -76,10 +99,19 @@ constexpr GemmMicrokernel kGemmScalar{4, /*fused=*/false, gemm_microtile_scalar}
 constexpr GemmMicrokernel kGemmAvx2{8, /*fused=*/true,
                                     detail::gemm_microtile_avx2};
 #endif
+#if defined(BLURNET_HAVE_AVX512_KERNELS)
+constexpr GemmMicrokernel kGemmAvx512{16, /*fused=*/true,
+                                      detail::gemm_microtile_avx512};
+#endif
 #if defined(BLURNET_HAVE_NEON_KERNELS)
 constexpr GemmMicrokernel kGemmNeon{4, /*fused=*/true,
                                     detail::gemm_microtile_neon};
 #endif
+
+// avx512 owns only its GEMM tile; every other kernel it runs is avx2's.
+util::KernelTarget table_target(util::KernelTarget target) {
+  return target == util::KernelTarget::kAvx512 ? util::KernelTarget::kAvx2 : target;
+}
 
 }  // namespace
 
@@ -153,6 +185,12 @@ void median5_row_scalar(const float* src, std::int64_t stride, float* dst,
 
 const GemmMicrokernel& gemm_microkernel(util::KernelTarget target) {
   switch (target) {
+    case util::KernelTarget::kAvx512:
+#if defined(BLURNET_HAVE_AVX512_KERNELS)
+      return kGemmAvx512;
+#else
+      break;
+#endif
     case util::KernelTarget::kAvx2:
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
       return kGemmAvx2;
@@ -173,14 +211,25 @@ const GemmMicrokernel& gemm_microkernel(util::KernelTarget target) {
 
 GemmRowFn gemm_row(util::KernelTarget target) {
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
-  if (target == util::KernelTarget::kAvx2) return detail::gemm_row_avx2;
+  if (table_target(target) == util::KernelTarget::kAvx2) return detail::gemm_row_avx2;
 #endif
   (void)target;
   return nullptr;  // the driver keeps the microtile path
 }
 
+GemmStoreFn gemm_store(util::KernelTarget target) {
+#if defined(BLURNET_HAVE_AVX2_KERNELS)
+  if (table_target(target) == util::KernelTarget::kAvx2) return detail::gemm_store_avx2;
+#endif
+#if defined(BLURNET_HAVE_NEON_KERNELS)
+  if (target == util::KernelTarget::kNeon) return detail::gemm_store_neon;
+#endif
+  (void)target;
+  return detail::gemm_store_scalar;
+}
+
 TapRowFn tap_row(util::KernelTarget target) {
-  switch (target) {
+  switch (table_target(target)) {
     case util::KernelTarget::kAvx2:
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
       return detail::tap_row_avx2;
@@ -193,6 +242,7 @@ TapRowFn tap_row(util::KernelTarget target) {
 #else
       break;
 #endif
+    case util::KernelTarget::kAvx512:
     case util::KernelTarget::kScalar:
       break;
   }
@@ -201,7 +251,7 @@ TapRowFn tap_row(util::KernelTarget target) {
 
 WarpRowFn warp_row(util::KernelTarget target) {
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
-  if (target == util::KernelTarget::kAvx2) return detail::warp_row_avx2;
+  if (table_target(target) == util::KernelTarget::kAvx2) return detail::warp_row_avx2;
 #endif
   (void)target;  // neon: no specialization, scalar numerics are the contract
   return warp_row_scalar;
@@ -209,7 +259,7 @@ WarpRowFn warp_row(util::KernelTarget target) {
 
 MedianRowFn median3_row(util::KernelTarget target) {
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
-  if (target == util::KernelTarget::kAvx2) return detail::median3_row_avx2;
+  if (table_target(target) == util::KernelTarget::kAvx2) return detail::median3_row_avx2;
 #endif
 #if defined(BLURNET_HAVE_NEON_KERNELS)
   if (target == util::KernelTarget::kNeon) return detail::median3_row_neon;
@@ -220,7 +270,7 @@ MedianRowFn median3_row(util::KernelTarget target) {
 
 MedianRowFn median5_row(util::KernelTarget target) {
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
-  if (target == util::KernelTarget::kAvx2) return detail::median5_row_avx2;
+  if (table_target(target) == util::KernelTarget::kAvx2) return detail::median5_row_avx2;
 #endif
 #if defined(BLURNET_HAVE_NEON_KERNELS)
   if (target == util::KernelTarget::kNeon) return detail::median5_row_neon;
@@ -231,7 +281,7 @@ MedianRowFn median5_row(util::KernelTarget target) {
 
 Dct8x8Fn dct8x8(util::KernelTarget target, bool inverse) {
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
-  if (target == util::KernelTarget::kAvx2) {
+  if (table_target(target) == util::KernelTarget::kAvx2) {
     return inverse ? detail::dct8x8_inverse_avx2 : detail::dct8x8_forward_avx2;
   }
 #endif

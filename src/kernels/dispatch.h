@@ -3,20 +3,31 @@
 // Each hot loop has one portable entry point here that returns a function
 // pointer (or a small descriptor) for a given target. Scalar
 // implementations live in dispatch.cpp and are the reference numerics;
-// the ISA translation units (simd_kernels_avx2.cpp / simd_kernels_neon.cpp,
-// the only files allowed to touch raw intrinsics — enforced by
-// tools/lint.py) register themselves behind BLURNET_HAVE_*_KERNELS.
+// the ISA translation units (simd_kernels_avx2.cpp / simd_kernels_avx512.cpp
+// / simd_kernels_neon.cpp, the only files allowed to touch raw intrinsics —
+// enforced by tools/lint.py) register themselves behind
+// BLURNET_HAVE_*_KERNELS.
+//
+// Targets and their GEMM tiles:
+//   scalar  4x8, two-rounding mul+add
+//   avx2    8x8, FMA, one 8-lane vector per tile row
+//   avx512  16x8, FMA, one 16-lane vector per tile column
+//   neon    4x8, FMA
+// avx512 owns only its GEMM tile; every other accessor below (gemm_row and
+// gemm_store included) hands it the avx2 kernel.
 //
 // Numerics, per kernel:
 //   * gemm_microkernel — float32 ascending-k fold per output element. The
-//     scalar entry is two-rounding mul+add; AVX2/NEON use hardware FMA
-//     (one rounding per term). Within one target results are bitwise
+//     scalar entry is two-rounding mul+add; AVX2/AVX-512/NEON use hardware
+//     FMA (one rounding per term). Within one target results are bitwise
 //     deterministic; across targets GEMM low bits may differ. The fused
-//     targets are bitwise-modelled by linalg::sgemm_reference_fused.
+//     targets are bitwise-modelled by linalg::sgemm_reference_fused, and
+//     the avx512 16x8 tile runs each output element's FMA chain exactly as
+//     the avx2 8x8 tile does, so the two targets are bitwise equal.
 //   * gemm_row folds each lane exactly like its target's microtile.
-//   * tap rows, warp rows and dct8x8 reproduce the scalar
-//     double-accumulation order exactly and are bitwise equal to scalar on
-//     every target.
+//   * gemm_store (the tile writeback with optional bias and ReLU), tap rows,
+//     warp rows and dct8x8 reproduce the scalar operation order exactly and
+//     are bitwise equal to scalar on every target.
 //   * median3/median5 rows run one min/max compare-exchange network on
 //     every target (see "median rows" below) and are bitwise equal to
 //     scalar for every input, NaN and signed zeros included.
@@ -38,9 +49,9 @@ namespace blurnet::kernels {
 /// Microtile column width; must match linalg::kNr (the B pack width).
 inline constexpr std::int64_t kGemmNr = 8;
 
-/// Upper bound on GemmMicrokernel::mr across all targets; drivers size
-/// their writeback accumulator as float[kGemmMaxMr * kGemmNr].
-inline constexpr std::int64_t kGemmMaxMr = 8;
+/// Upper bound on GemmMicrokernel::mr across all targets (the avx512 tile);
+/// drivers size their writeback accumulator as float[kGemmMaxMr * kGemmNr].
+inline constexpr std::int64_t kGemmMaxMr = 16;
 
 /// Register-blocked microtile: acc[mr][kGemmNr] (row-major, overwritten —
 /// the kernel zero-initializes) = sum over kk<kc of
@@ -50,13 +61,13 @@ inline constexpr std::int64_t kGemmMaxMr = 8;
 /// direct row-major slice of B (ldb == original ldb, full tiles only).
 struct GemmMicrokernel {
   std::int64_t mr;  ///< microtile rows; the driver packs A panels this tall
-  bool fused;       ///< true: hardware FMA accumulation (avx2/neon)
+  bool fused;       ///< true: hardware FMA accumulation (avx2/avx512/neon)
   void (*fn)(std::int64_t kc, const float* ap, const float* b,
              std::int64_t ldb, float* acc);
 };
 
-/// Never null; scalar has mr == linalg::kMr (4), fused targets mr == 8 (avx2)
-/// or 4 (neon).
+/// Never null; scalar has mr == linalg::kMr (4), fused targets mr == 8 (avx2),
+/// 16 (avx512) or 4 (neon).
 const GemmMicrokernel& gemm_microkernel(util::KernelTarget target);
 
 /// One row of A against a row-major slice of B: acc[j] (overwritten) =
@@ -68,8 +79,28 @@ using GemmRowFn = void (*)(std::int64_t kc, const float* a, const float* b,
                            std::int64_t ldb, std::int64_t n, float* acc);
 
 /// nullptr for targets without a specialization (the driver keeps the
-/// microtile path).
+/// microtile path). avx512 gets the avx2 row, whose lanes fold like the
+/// avx512 tile's, so the driver uses it for every m < 16.
 GemmRowFn gemm_row(util::KernelTarget target);
+
+/// Writes one microtile accumulator into C: for ii < rows, jj < cols
+/// (cols <= kGemmNr),
+///   v = first ? acc[ii*kGemmNr + jj] : c[ii*ldc + jj] + acc[ii*kGemmNr + jj]
+///   if (bias) v = v + bias[ii]          (after the last k-block)
+///   if (relu) v = v > 0 ? v : +0.0f     (tensor::relu's select)
+///   c[ii*ldc + jj] = v
+/// so a GEMM stores its first k-block, adds later blocks in ascending order,
+/// and a fused conv epilogue adds the bias and rectifies in the same pass.
+/// Every target runs these float ops in this order (NaN -> +0 and -0 -> +0
+/// under relu), so results are bitwise equal to scalar, up to the payload of
+/// a NaN result (which of two NaN operands an add propagates is the
+/// compiler's choice of operand order).
+using GemmStoreFn = void (*)(const float* acc, std::int64_t rows,
+                             std::int64_t cols, float* c, std::int64_t ldc,
+                             bool first, const float* bias, bool relu);
+
+/// Never null.
+GemmStoreFn gemm_store(util::KernelTarget target);
 
 // ---- convolution tap rows ---------------------------------------------------
 

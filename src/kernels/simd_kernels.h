@@ -1,8 +1,8 @@
 // Internal declarations shared between dispatch.cpp and the ISA
 // translation units. Intentionally intrinsic-free: this header is
 // included from portable code, so it must never pull <immintrin.h> /
-// <arm_neon.h> (tools/lint.py enforces that only *_kernels_{avx2,neon}.cpp
-// may). The symbols below are only defined when the matching
+// <arm_neon.h> (tools/lint.py enforces that only
+// *_kernels_{avx2,avx512,neon}.cpp may). The symbols below are only defined when the matching
 // BLURNET_HAVE_*_KERNELS macro was set for the ISA translation unit.
 #pragma once
 
@@ -125,11 +125,20 @@ void median3_row_scalar(const float* src, std::int64_t stride, float* dst,
 void median5_row_scalar(const float* src, std::int64_t stride, float* dst,
                         std::int64_t count);
 
+// Scalar tile store (dispatch.cpp): the scalar target's writeback and the
+// partial-tile path of the neon one.
+void gemm_store_scalar(const float* acc, std::int64_t rows, std::int64_t cols,
+                       float* c, std::int64_t ldc, bool first, const float* bias,
+                       bool relu);
+
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
 void gemm_microtile_avx2(std::int64_t kc, const float* ap, const float* b,
                          std::int64_t ldb, float* acc);
 void gemm_row_avx2(std::int64_t kc, const float* a, const float* b,
                    std::int64_t ldb, std::int64_t n, float* acc);
+void gemm_store_avx2(const float* acc, std::int64_t rows, std::int64_t cols,
+                     float* c, std::int64_t ldc, bool first, const float* bias,
+                     bool relu);
 void tap_row_avx2(const float* src, std::int64_t stride, const float* ker,
                   int kh, int kw, float* dst, std::int64_t count);
 void warp_row_avx2(const float* src, std::int64_t h, std::int64_t w,
@@ -142,9 +151,17 @@ void dct8x8_forward_avx2(const double* in, double* out);
 void dct8x8_inverse_avx2(const double* in, double* out);
 #endif
 
+#if defined(BLURNET_HAVE_AVX512_KERNELS)
+void gemm_microtile_avx512(std::int64_t kc, const float* ap, const float* b,
+                           std::int64_t ldb, float* acc);
+#endif
+
 #if defined(BLURNET_HAVE_NEON_KERNELS)
 void gemm_microtile_neon(std::int64_t kc, const float* ap, const float* b,
                          std::int64_t ldb, float* acc);
+void gemm_store_neon(const float* acc, std::int64_t rows, std::int64_t cols,
+                     float* c, std::int64_t ldc, bool first, const float* bias,
+                     bool relu);
 void tap_row_neon(const float* src, std::int64_t stride, const float* ker,
                   int kh, int kw, float* dst, std::int64_t count);
 void median3_row_neon(const float* src, std::int64_t stride, float* dst,

@@ -1,6 +1,6 @@
 // AVX2+FMA kernels. This translation unit is compiled with -mavx2 -mfma
 // (CMake sets the flags and BLURNET_HAVE_AVX2_KERNELS per-file on x86-64)
-// and is one of the two files allowed to use raw intrinsics (tools/lint.py
+// and is one of the three files allowed to use raw intrinsics (tools/lint.py
 // `simd-confinement`). Dispatch never routes here unless the host probe
 // reported AVX2+FMA, so no function below needs its own runtime check.
 //
@@ -10,6 +10,8 @@
 //     bitwise-modelled by linalg::sgemm_reference_fused, but NOT bit-equal
 //     to the scalar two-rounding microtile (the documented per-target GEMM
 //     contract).
+//   * gemm_store_avx2 runs the scalar tile store's float adds and ReLU
+//     select in the scalar order and is bit-equal to scalar;
 //   * every other kernel reproduces the scalar double-precision op order
 //     exactly (no FMA, no reassociation) and is bit-equal to scalar; the
 //     scalar remainder loops below are verbatim copies of the reference
@@ -122,6 +124,35 @@ void gemm_row_avx2(std::int64_t kc, const float* a, const float* b,
   _mm256_maskstore_ps(acc + j + 8, m1, c1);
   _mm256_maskstore_ps(acc + j + 16, m2, c2);
   _mm256_maskstore_ps(acc + j + 24, m3, c3);
+}
+
+// ---- GEMM tile store ----------------------------------------------------------
+
+void gemm_store_avx2(const float* acc, std::int64_t rows, std::int64_t cols,
+                     float* c, std::int64_t ldc, bool first, const float* bias,
+                     bool relu) {
+  // One tile row per vector, the scalar store's ops in its order: the add
+  // keeps c + acc operand order, and the ReLU is a GT_OQ compare mask, so a
+  // NaN or -0 comes out +0 exactly as `v > 0 ? v : 0.0f` does. A partial
+  // tile masks its C loads and stores: masked-off lanes never touch memory.
+  const bool full = cols == kGemmNr;
+  const __m256i mask = first_lanes(cols);
+  const __m256 zero = _mm256_setzero_ps();
+  for (std::int64_t ii = 0; ii < rows; ++ii) {
+    float* crow = c + ii * ldc;
+    __m256 v = _mm256_loadu_ps(acc + ii * kGemmNr);
+    if (!first) {
+      const __m256 cv = full ? _mm256_loadu_ps(crow) : _mm256_maskload_ps(crow, mask);
+      v = _mm256_add_ps(cv, v);
+    }
+    if (bias != nullptr) v = _mm256_add_ps(v, _mm256_broadcast_ss(bias + ii));
+    if (relu) v = _mm256_and_ps(v, _mm256_cmp_ps(v, zero, _CMP_GT_OQ));
+    if (full) {
+      _mm256_storeu_ps(crow, v);
+    } else {
+      _mm256_maskstore_ps(crow, mask, v);
+    }
+  }
 }
 
 // ---- convolution tap rows ---------------------------------------------------

@@ -1,12 +1,12 @@
 // AArch64 NEON (ASIMD) kernels. Compiled only on aarch64 builds (CMake
-// sets BLURNET_HAVE_NEON_KERNELS there); one of the two files allowed to
+// sets BLURNET_HAVE_NEON_KERNELS there); one of the three files allowed to
 // use raw intrinsics (tools/lint.py `simd-confinement`).
 //
 // Numerics mirror the AVX2 TU: the GEMM microtile uses fused
 // multiply-add (vfmaq, one rounding per term — the per-target GEMM
-// contract, bitwise-modelled by linalg::sgemm_reference_fused); the tap
-// and median kernels reproduce the scalar op order exactly and are
-// bit-equal to the scalar target. Warp and DCT have no NEON
+// contract, bitwise-modelled by linalg::sgemm_reference_fused); the tile
+// store, tap and median kernels reproduce the scalar op order exactly and
+// are bit-equal to the scalar target. Warp and DCT have no NEON
 // specialization — dispatch falls back to scalar there.
 #include "src/kernels/simd_kernels.h"
 
@@ -47,6 +47,45 @@ void gemm_microtile_neon(std::int64_t kc, const float* ap, const float* b,
   vst1q_f32(acc + 20, c21);
   vst1q_f32(acc + 24, c30);
   vst1q_f32(acc + 28, c31);
+}
+
+// ---- GEMM tile store ----------------------------------------------------------
+
+void gemm_store_neon(const float* acc, std::int64_t rows, std::int64_t cols,
+                     float* c, std::int64_t ldc, bool first, const float* bias,
+                     bool relu) {
+  // Full tiles only; a partial tile takes the scalar store. The add keeps
+  // c + acc operand order, and the ReLU masks with a greater-than compare
+  // (vmaxq would propagate NaN), so NaN and -0 come out +0 as in scalar.
+  if (cols != kGemmNr) {
+    gemm_store_scalar(acc, rows, cols, c, ldc, first, bias, relu);
+    return;
+  }
+  const float32x4_t zero = vdupq_n_f32(0.0f);
+  auto rectify = [&](float32x4_t v) {
+    return vreinterpretq_f32_u32(
+        vandq_u32(vreinterpretq_u32_f32(v), vcgtq_f32(v, zero)));
+  };
+  for (std::int64_t ii = 0; ii < rows; ++ii) {
+    float* crow = c + ii * ldc;
+    float32x4_t v0 = vld1q_f32(acc + ii * kGemmNr);
+    float32x4_t v1 = vld1q_f32(acc + ii * kGemmNr + 4);
+    if (!first) {
+      v0 = vaddq_f32(vld1q_f32(crow), v0);
+      v1 = vaddq_f32(vld1q_f32(crow + 4), v1);
+    }
+    if (bias != nullptr) {
+      const float32x4_t bv = vdupq_n_f32(bias[ii]);
+      v0 = vaddq_f32(v0, bv);
+      v1 = vaddq_f32(v1, bv);
+    }
+    if (relu) {
+      v0 = rectify(v0);
+      v1 = rectify(v1);
+    }
+    vst1q_f32(crow, v0);
+    vst1q_f32(crow + 4, v1);
+  }
 }
 
 // ---- convolution tap rows ---------------------------------------------------

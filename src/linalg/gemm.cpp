@@ -62,7 +62,7 @@ void pack_b_panel(Trans trans, const float* b, std::int64_t ldb,
 // Pack op(A)[i0 .. i0+mc, kb .. kb+kc) into mr-tall row panels:
 //   packed[(it * kc + kk) * mr + ii] = op(A)[i0 + it*mr + ii, kb + kk]
 // zero filled past the last valid row. `mr` is the microtile height of the
-// active kernel target (kMr for scalar/neon, 8 for avx2).
+// active kernel target (kMr for scalar/neon, 8 for avx2, 16 for avx512).
 void pack_a_panel(Trans trans, const float* a, std::int64_t lda,
                   std::int64_t i0, std::int64_t mc, std::int64_t kb,
                   std::int64_t kc, std::int64_t mr, float* packed) {
@@ -88,9 +88,10 @@ void pack_a_panel(Trans trans, const float* a, std::int64_t lda,
 // whose kNr-wide slice is contiguous per kk (the NN/TN fast path that skips
 // packing B altogether). Each acc element is a strict ascending-k fold —
 // the documented accumulation contract — identical for both B layouts.
-// Scalar folds with separate mul+add; the avx2/neon tiles fold with fused
-// multiply-add (one rounding per term), the documented per-target numerics
-// modelled exactly by sgemm_reference_fused.
+// Scalar folds with separate mul+add; the avx2/avx512/neon tiles fold with
+// fused multiply-add (one rounding per term), the documented per-target
+// numerics modelled exactly by sgemm_reference_fused. kernels::gemm_store
+// writes each tile back: the first k-block stored, later blocks added.
 static_assert(kNr == kernels::kGemmNr, "B pack width must match the microtiles");
 static_assert(kMc % kernels::kGemmMaxMr == 0,
               "panel rows must hold whole microtiles for every target");
@@ -146,6 +147,7 @@ void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
   // identical for any worker count.
   const util::KernelTarget target = util::active_kernel_target();
   const kernels::GemmMicrokernel& mk = kernels::gemm_microkernel(target);
+  const kernels::GemmStoreFn store_fn = kernels::gemm_store(target);
   const std::int64_t mr = mk.mr;
   if (m < mr && trans_b == Trans::kNo) {
     if (const kernels::GemmRowFn row_fn = kernels::gemm_row(target)) {
@@ -216,15 +218,8 @@ void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
               const std::int64_t rn = std::min<std::int64_t>(mr, i0 + mc - r0);
               float acc[kernels::kGemmMaxMr * kNr];
               mk.fn(kc, scratch.a.data() + it * kc * mr, b_tile, b_stride, acc);
-              for (std::int64_t ii = 0; ii < rn; ++ii) {
-                float* crow = c + (r0 + ii) * ldc + j0;
-                const float* arow = acc + ii * kNr;
-                if (store) {
-                  for (std::int64_t jj = 0; jj < jn; ++jj) crow[jj] = arow[jj];
-                } else {
-                  for (std::int64_t jj = 0; jj < jn; ++jj) crow[jj] += arow[jj];
-                }
-              }
+              store_fn(acc, rn, jn, c + r0 * ldc + j0, ldc, store,
+                       /*bias=*/nullptr, /*relu=*/false);
             }
           }
         }
@@ -272,8 +267,8 @@ void sgemm_reference_fused(Trans trans_a, Trans trans_b, std::int64_t m,
     for (std::int64_t j = 0; j < n; ++j) {
       // Same fold structure as sgemm_reference, but each term is folded in
       // with std::fma — correctly-rounded fused multiply-add, the exact
-      // per-term rounding of the avx2/neon microtiles — so this models the
-      // fused targets bit for bit.
+      // per-term rounding of the avx2/avx512/neon microtiles — so this
+      // models the fused targets bit for bit.
       float* out = c + i * ldc + j;
       bool store = !accumulate;
       for (std::int64_t kb = 0; kb < k; kb += kKc) {

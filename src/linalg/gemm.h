@@ -15,8 +15,9 @@
 //     never on m, n, the batch composition, or the worker count;
 //   * the microtile is runtime-dispatched per util::active_kernel_target()
 //     (see src/kernels/dispatch.h): the scalar tile folds with separate
-//     mul+add roundings (matching sgemm_reference), the avx2/neon tiles
-//     fold with fused multiply-add (matching sgemm_reference_fused). Low
+//     mul+add roundings (matching sgemm_reference), the avx2/avx512/neon
+//     tiles fold with fused multiply-add (matching sgemm_reference_fused;
+//     avx512 and avx2 are bitwise equal). Low
 //     bits may therefore differ *across* targets; within one target every
 //     result is bitwise deterministic;
 //   * no zero-skip shortcuts: 0 * NaN and 0 * Inf propagate NaN as IEEE
@@ -45,7 +46,8 @@ enum class Trans { kNo, kYes };
 
 // Blocking parameters, exposed so tests can target partial-tile edges.
 // kMr is the *scalar* microtile height; the avx2 target runs an 8-row tile
-// (kernels::gemm_microkernel(target).mr), and kMc is a multiple of both.
+// and avx512 a 16-row one (kernels::gemm_microkernel(target).mr), and kMc
+// is a multiple of every target's.
 inline constexpr std::int64_t kMr = 4;    ///< microtile rows (register block)
 inline constexpr std::int64_t kNr = 8;    ///< microtile cols (register block)
 inline constexpr std::int64_t kMc = 32;   ///< A panel rows (parallel grain)
@@ -88,8 +90,8 @@ void sgemm_reference(Trans trans_a, Trans trans_b, std::int64_t m,
                      float* c, std::int64_t ldc, bool accumulate);
 
 /// Same fold structure, but each term folded with std::fma — the
-/// correctly-rounded fused multiply-add the avx2/neon microtiles use — so
-/// it is the bitwise ground truth for the fused dispatch targets.
+/// correctly-rounded fused multiply-add the avx2/avx512/neon microtiles
+/// use — so it is the bitwise ground truth for the fused dispatch targets.
 void sgemm_reference_fused(Trans trans_a, Trans trans_b, std::int64_t m,
                            std::int64_t n, std::int64_t k, const float* a,
                            std::int64_t lda, const float* b, std::int64_t ldb,

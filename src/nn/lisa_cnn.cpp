@@ -116,13 +116,16 @@ Variable LisaCnn::apply_fixed_filter(const Variable& x) const {
 }
 
 ForwardResult LisaCnn::forward(const Variable& x) const {
+  // Every conv applies its ReLU in its own store pass (bitwise the
+  // conv2d -> relu chain, values and gradients alike).
+  constexpr auto kRelu = autograd::Activation::kRelu;
   ForwardResult result;
   Variable h = x;
   if (config_.fixed_filter.placement == FilterPlacement::kInput) {
     h = apply_fixed_filter(h);
   }
-  h = autograd::relu(autograd::conv2d(h, conv1_w_, conv1_b_, config_.conv1_stride,
-                                      config_.conv1_kernel / 2));
+  h = autograd::conv2d(h, conv1_w_, conv1_b_, config_.conv1_stride,
+                       config_.conv1_kernel / 2, kRelu);
   result.features_l1 = h;
   if (config_.fixed_filter.placement == FilterPlacement::kAfterLayer1) {
     h = apply_fixed_filter(h);
@@ -132,15 +135,15 @@ ForwardResult LisaCnn::forward(const Variable& x) const {
   }
   result.features_l1_filtered = h;
 
-  h = autograd::relu(autograd::conv2d(h, conv2_w_, conv2_b_, config_.conv2_stride,
-                                      config_.conv2_kernel / 2));
+  h = autograd::conv2d(h, conv2_w_, conv2_b_, config_.conv2_stride,
+                       config_.conv2_kernel / 2, kRelu);
   result.features_l2 = h;
   if (config_.fixed_filter.placement == FilterPlacement::kAfterLayer2) {
     h = apply_fixed_filter(h);
   }
 
-  h = autograd::relu(autograd::conv2d(h, conv3_w_, conv3_b_, config_.conv3_stride,
-                                      config_.conv3_kernel / 2));
+  h = autograd::conv2d(h, conv3_w_, conv3_b_, config_.conv3_stride,
+                       config_.conv3_kernel / 2, kRelu);
   result.features_l3 = h;
   if (config_.fixed_filter.placement == FilterPlacement::kAfterLayer3) {
     h = apply_fixed_filter(h);

@@ -40,6 +40,15 @@ void LoadConfig::validate() const {
     throw std::invalid_argument("LoadConfig: max_batch must be >= 0 (0 = engine default, got " +
                                 std::to_string(max_batch) + ")");
   }
+  switch (arrival) {
+    case ArrivalProcess::kPoisson:
+    case ArrivalProcess::kOnOff:
+    case ArrivalProcess::kUniform:
+      break;
+    default:
+      throw std::invalid_argument("LoadConfig: arrival must be kPoisson, kOnOff or kUniform (got " +
+                                  std::to_string(static_cast<int>(arrival)) + ")");
+  }
   if (arrival == ArrivalProcess::kOnOff) {
     if (!(on_fraction > 0.0) || on_fraction > 1.0) {
       throw std::invalid_argument("LoadConfig: on_fraction must be in (0, 1] (got " +
@@ -106,7 +115,7 @@ void LoadGenerator::build_schedule() {
                           : config_.offered_rps;
   double active = 0.0;  // kPoisson/kOnOff clock; kUniform paces directly
   for (std::size_t i = 0; i < n; ++i) {
-    double offset;
+    double offset = 0.0;  // every arrival sets it; validate() rejects any other
     switch (config_.arrival) {
       case ArrivalProcess::kUniform:
         offset = static_cast<double>(i) / config_.offered_rps;

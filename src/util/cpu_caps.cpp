@@ -5,6 +5,10 @@
 
 #include "src/util/env.h"
 
+#if defined(BLURNET_HAVE_AVX512_KERNELS) && (defined(__x86_64__) || defined(_M_X64))
+#include <cpuid.h>
+#endif
+
 #if defined(__aarch64__) && defined(__linux__)
 #include <sys/auxv.h>
 #ifndef HWCAP_ASIMD
@@ -15,11 +19,32 @@
 namespace blurnet::util {
 namespace {
 
+#if defined(BLURNET_HAVE_AVX512_KERNELS) && (defined(__x86_64__) || defined(_M_X64))
+// True when the OS saves the full AVX-512 register state on context switch:
+// XCR0 must enable SSE, AVX (YMM upper halves), the opmask registers and
+// both ZMM state components (bits 1, 2, 5, 6, 7). XGETBV is only legal when
+// CPUID reports OSXSAVE, so check that first.
+bool os_saves_zmm_state() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || (ecx & bit_OSXSAVE) == 0) return false;
+  unsigned xcr0_lo = 0, xcr0_hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+  constexpr unsigned kZmmState = (1u << 1) | (1u << 2) | (1u << 5) | (1u << 6) | (1u << 7);
+  return (xcr0_lo & kZmmState) == kZmmState;
+}
+#endif
+
 CpuCaps probe_caps() {
   CpuCaps caps;
 #if defined(BLURNET_HAVE_AVX2_KERNELS) && (defined(__x86_64__) || defined(_M_X64))
   caps.avx2_fma =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#endif
+#if defined(BLURNET_HAVE_AVX512_KERNELS) && (defined(__x86_64__) || defined(_M_X64))
+  // avx512 dispatches every kernel but its GEMM tile to the avx2 TU, so it
+  // requires avx2_fma as well.
+  caps.avx512 = caps.avx2_fma && __builtin_cpu_supports("avx512f") &&
+                __builtin_cpu_supports("avx512vl") && os_saves_zmm_state();
 #endif
 #if defined(BLURNET_HAVE_NEON_KERNELS) && defined(__aarch64__)
 #if defined(__linux__)
@@ -39,11 +64,13 @@ KernelTarget resolve_from_env() {
       throw std::invalid_argument(
           "BLURNET_FORCE_KERNEL=" + *forced + ": target '" + *forced +
           "' is not available on this host/build (host caps: avx2_fma=" +
-          (caps.avx2_fma ? "yes" : "no") + ", neon=" +
+          (caps.avx2_fma ? "yes" : "no") + ", avx512=" +
+          (caps.avx512 ? "yes" : "no") + ", neon=" +
           (caps.neon ? "yes" : "no") + "); 'scalar' always works");
     }
     return target;
   }
+  if (caps.avx512) return KernelTarget::kAvx512;
   if (caps.avx2_fma) return KernelTarget::kAvx2;
   if (caps.neon) return KernelTarget::kNeon;
   return KernelTarget::kScalar;
@@ -63,6 +90,7 @@ bool kernel_target_available(KernelTarget target) {
   switch (target) {
     case KernelTarget::kScalar: return true;
     case KernelTarget::kAvx2: return cpu_caps().avx2_fma;
+    case KernelTarget::kAvx512: return cpu_caps().avx512;
     case KernelTarget::kNeon: return cpu_caps().neon;
   }
   return false;
@@ -81,6 +109,7 @@ const char* kernel_target_name(KernelTarget target) {
   switch (target) {
     case KernelTarget::kScalar: return "scalar";
     case KernelTarget::kAvx2: return "avx2";
+    case KernelTarget::kAvx512: return "avx512";
     case KernelTarget::kNeon: return "neon";
   }
   return "unknown";
@@ -89,9 +118,10 @@ const char* kernel_target_name(KernelTarget target) {
 KernelTarget parse_kernel_target(const std::string& name) {
   if (name == "scalar") return KernelTarget::kScalar;
   if (name == "avx2") return KernelTarget::kAvx2;
+  if (name == "avx512") return KernelTarget::kAvx512;
   if (name == "neon") return KernelTarget::kNeon;
   throw std::invalid_argument("unknown kernel target '" + name +
-                              "' (expected scalar, avx2, or neon)");
+                              "' (expected scalar, avx2, avx512, or neon)");
 }
 
 void set_kernel_target(KernelTarget target) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -141,6 +144,9 @@ const ConvCase kConvCases[] = {
     {1, 2, 7, 12, 4, 3, 1, 0, false, "unpadded, ow=10, no bias"},
     {2, 2, 10, 10, 3, 3, 3, 1, true, "stride 3"},
     {2, 3, 8, 8, 4, 3, 1, 1, true, "small stride 1"},
+    {2, 3, 9, 11, 17, 3, 2, 0, true, "unpadded stride 2, odd width, f=17"},
+    {1, 2, 12, 14, 20, 5, 2, 2, false, "stride 2, even padded width, no bias"},
+    {2, 2, 11, 11, 3, 5, 3, 2, true, "stride 3, padded width not a multiple of 3"},
 };
 
 TEST(Ops, Conv2dBothModesBitwiseEqualExplicitGemmOracle) {
@@ -167,6 +173,107 @@ TEST(Ops, Conv2dBothModesBitwiseEqualExplicitGemmOracle) {
                              where + ", no grad");
       }
       util::reset_parallel_workers();
+    }
+  }
+}
+
+std::uint32_t bits_of(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+// Bit-pattern equality, so -0 vs +0 and NaN payloads count as differences.
+void expect_same_bits(const Tensor& got, const Tensor& want, const std::string& where) {
+  ASSERT_EQ(got.shape(), want.shape()) << where;
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(bits_of(got[i]), bits_of(want[i]))
+        << where << ", elem " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+// The fused conv+ReLU node must be the conv2d -> relu chain bit for bit: its
+// value, and dX, dW and db under the same upstream gradient. The cases
+// include upstream gradients that are negative (or NaN/Inf) on masked
+// elements — the chain adds the masked products into a zeroed gradient, so
+// a -0 arrives as +0 — and NaN pre-activations from NaN input pixels, which
+// the ReLU maps to +0 and masks.
+TEST(Ops, Conv2dReluFusedBitwiseEqualsConvThenRelu) {
+  struct Mode {
+    bool nan_inputs;      // NaN pixels make NaN pre-activations
+    bool all_masked;      // a large negative bias masks every element
+    bool odd_upstream;    // NaN and +-Inf in the upstream gradient
+    const char* label;
+  };
+  const Mode modes[] = {{false, false, false, "random"},
+                        {true, false, false, "NaN pre-activations"},
+                        {false, true, false, "every element masked"},
+                        {true, false, true, "NaN pre-activations, NaN/Inf upstream"}};
+  util::Rng rng(29);
+  for (const ConvCase& cc : kConvCases) {
+    const std::int64_t n = std::min<std::int64_t>(cc.n, 3);
+    const std::int64_t oh = tensor::conv_out_size(cc.h + 2 * cc.pad, cc.k, cc.stride);
+    const std::int64_t ow = tensor::conv_out_size(cc.w + 2 * cc.pad, cc.k, cc.stride);
+    for (const Mode& mode : modes) {
+      Tensor xv = Tensor::randn(Shape::nchw(n, cc.c, cc.h, cc.w), rng);
+      if (mode.nan_inputs) {
+        for (std::int64_t i = 0; i < xv.numel(); i += 37) xv[i] = std::nanf("");
+      }
+      const Tensor wv = Tensor::randn(Shape{cc.f, cc.c, cc.k, cc.k}, rng, 0.0f, 0.2f);
+      Tensor bv = Tensor::randn(Shape::vec(cc.f), rng);
+      if (mode.all_masked) bv.fill(-1e6f);
+      // Negative on roughly half the elements, masked or not.
+      Tensor upstream = Tensor::randn(Shape::nchw(n, cc.f, oh, ow), rng);
+      if (mode.all_masked) {
+        for (std::int64_t i = 0; i < upstream.numel(); ++i) upstream[i] = -std::fabs(upstream[i]);
+      }
+      if (mode.odd_upstream) {
+        for (std::int64_t i = 0; i < upstream.numel(); i += 5) {
+          upstream[i] = i % 3 == 0 ? std::nanf("")
+                                   : (i % 3 == 1 ? 1.0f : -1.0f) *
+                                         std::numeric_limits<float>::infinity();
+        }
+      }
+      for (const auto target : blurnet::testing::available_kernel_targets()) {
+        blurnet::testing::ScopedKernelTarget scoped(target);
+        for (const int workers : {1, 4}) {
+          util::set_parallel_workers(workers);
+          const std::string where =
+              sweep_label(cc.label, target, workers) + ", " + mode.label;
+          auto grads = [&](bool fused) {
+            auto x = Variable::leaf(xv.clone(), true);
+            auto w = Variable::leaf(wv.clone(), true);
+            auto b = cc.bias ? Variable::leaf(bv.clone(), true) : Variable();
+            const Variable y = fused ? conv2d(x, w, b, cc.stride, cc.pad, Activation::kRelu)
+                                     : relu(conv2d(x, w, b, cc.stride, cc.pad));
+            const Tensor value = y.value().clone();
+            backward(sum(mul_const(y, upstream)));
+            return std::vector<Tensor>{value, x.grad(), w.grad(),
+                                       cc.bias ? b.grad() : Tensor()};
+          };
+          const std::vector<Tensor> chain = grads(false);
+          const std::vector<Tensor> fused = grads(true);
+          expect_same_bits(fused[0], chain[0], where + ", value");
+          expect_same_bits(fused[1], chain[1], where + ", dX");
+          expect_same_bits(fused[2], chain[2], where + ", dW");
+          if (cc.bias) expect_same_bits(fused[3], chain[3], where + ", db");
+          {
+            NoGradGuard no_grad;
+            const auto x = Variable::constant(xv);
+            const auto w = Variable::constant(wv);
+            const auto b = cc.bias ? Variable::constant(bv) : Variable();
+            expect_same_bits(conv2d(x, w, b, cc.stride, cc.pad, Activation::kRelu).value(),
+                             chain[0], where + ", no-grad value");
+          }
+          if (mode.all_masked && cc.bias) {
+            // Every element is masked: nothing but +0 reaches the parameters.
+            for (std::int64_t i = 0; i < fused[2].numel(); ++i) {
+              if (!std::isnan(fused[2][i])) ASSERT_EQ(bits_of(fused[2][i]), 0u) << where;
+            }
+          }
+        }
+        util::reset_parallel_workers();
+      }
     }
   }
 }

@@ -4,11 +4,14 @@
 #include <cstring>
 #include <filesystem>
 
+#include "src/defense/input_transform.h"
 #include "src/nn/init.h"
 #include "src/nn/lisa_cnn.h"
 #include "src/nn/model_io.h"
 #include "src/nn/optim.h"
 #include "src/tensor/ops.h"
+#include "src/util/cpu_caps.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 
 namespace blurnet::nn {
@@ -216,6 +219,55 @@ TEST(LisaCnn, DefendedPaperWidthLogitsBitwiseEqualGraphForward) {
                           static_cast<std::size_t>(served.numel()) * sizeof(float)),
               0)
         << "batch " << batch;
+  }
+}
+
+// The avx512 target's contract: its logits are the avx2 target's bit for
+// bit, for the base and defended paper-width models and behind the median5
+// input transform, at every batch size and worker count.
+TEST(LisaCnn, Avx512LogitsBitwiseEqualAvx2) {
+  if (!util::kernel_target_available(util::KernelTarget::kAvx512)) {
+    GTEST_SKIP() << "host lacks AVX-512 F/VL with OS-enabled ZMM state (or the "
+                    "binary was built without the avx512 kernels)";
+  }
+  LisaCnnConfig defended_config;  // paper width: 16/32/64 filters
+  defended_config.fixed_filter = {FilterPlacement::kAfterLayer1, 5, signal::KernelKind::kBox};
+  const LisaCnn base{LisaCnnConfig{}};
+  const LisaCnn defended = base.clone_with_config(defended_config);
+  defense::TransformSpec median5_spec;
+  median5_spec.kind = defense::TransformKind::kMedian;
+  median5_spec.kernel = 5;
+  const defense::TransformPtr median5 = defense::make_transform(median5_spec);
+  struct Variant {
+    const char* name;
+    const LisaCnn& model;
+    bool median5;
+  };
+  const Variant variants[] = {{"base", base, false},
+                              {"defended", defended, false},
+                              {"median5", base, true}};
+  util::Rng rng(37);
+  for (const std::int64_t batch : {1, 3, 64}) {
+    const Tensor x = Tensor::rand_uniform(Shape::nchw(batch, 3, 32, 32), rng);
+    for (const Variant& v : variants) {
+      for (const int workers : {1, 4}) {
+        util::set_parallel_workers(workers);
+        auto logits = [&](util::KernelTarget target) {
+          util::set_kernel_target(target);
+          Tensor out = v.model.logits(v.median5 ? median5->apply(x) : x);
+          util::reset_kernel_target();
+          return out;
+        };
+        const Tensor wide = logits(util::KernelTarget::kAvx512);
+        const Tensor narrow = logits(util::KernelTarget::kAvx2);
+        ASSERT_EQ(wide.shape(), narrow.shape());
+        EXPECT_EQ(std::memcmp(wide.data(), narrow.data(),
+                              static_cast<std::size_t>(wide.numel()) * sizeof(float)),
+                  0)
+            << v.name << " batch " << batch << " workers " << workers;
+      }
+      util::reset_parallel_workers();
+    }
   }
 }
 

@@ -1177,6 +1177,22 @@ TEST(LoadGen, ValidatesConfig) {
                std::invalid_argument);  // ...fails fast against this engine
 }
 
+TEST(LoadGen, RejectsAnOutOfRangeArrivalProcess) {
+  // An arrival outside the enum (a cast from a wire or CLI integer) must be
+  // refused up front, not schedule indeterminate arrival times.
+  LoadConfig config;
+  config.arrival = static_cast<ArrivalProcess>(7);
+  try {
+    config.validate();
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("arrival"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(LoadGenerator{config}, std::invalid_argument);
+  config.arrival = static_cast<ArrivalProcess>(-1);
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
 TEST(LoadGen, ScheduleIsDeterministicPerSeed) {
   LoadConfig config;
   config.requests = 200;

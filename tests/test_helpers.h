@@ -17,7 +17,7 @@ namespace blurnet::testing {
 inline std::vector<util::KernelTarget> available_kernel_targets() {
   std::vector<util::KernelTarget> out;
   for (const auto t : {util::KernelTarget::kScalar, util::KernelTarget::kAvx2,
-                       util::KernelTarget::kNeon}) {
+                       util::KernelTarget::kAvx512, util::KernelTarget::kNeon}) {
     if (util::kernel_target_available(t)) out.push_back(t);
   }
   return out;

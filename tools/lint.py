@@ -25,7 +25,8 @@ linters cannot express:
                       engine completion; no thread parks on a future.
   simd-confinement    raw SIMD intrinsics (_mm*/vfmaq_* calls, immintrin.h /
                       arm_neon.h includes) live only in the per-ISA kernel
-                      translation units (*_kernels_avx2.cpp, *_kernels_neon.cpp)
+                      translation units (*_kernels_avx2.cpp,
+                      *_kernels_avx512.cpp, *_kernels_neon.cpp)
                       — everything else goes through kernels/dispatch.h, which
                       is what keeps the scalar fallback path buildable and the
                       dispatch contract auditable.
@@ -270,7 +271,7 @@ def check_banned(path: Path, text: str, rel: str) -> list:
 # simd-confinement
 
 # Files allowed to use raw intrinsics: the per-ISA kernel TUs.
-SIMD_TU = re.compile(r"_kernels_(avx2|neon)\.cpp$")
+SIMD_TU = re.compile(r"_kernels_(avx2|avx512|neon)\.cpp$")
 
 # Intrinsic fingerprints: x86 _mm/_mm256 calls, NEON v*q_* calls, and the
 # ISA headers themselves (an include anywhere else would let intrinsics
@@ -296,7 +297,7 @@ def check_simd_confinement(path: Path, text: str, rel: str) -> list:
                         "simd-confinement",
                         path,
                         idx + 1,
-                        "raw SIMD intrinsic outside a *_kernels_{avx2,neon}.cpp "
+                        "raw SIMD intrinsic outside a *_kernels_{avx2,avx512,neon}.cpp "
                         "translation unit — route through kernels/dispatch.h",
                     )
                 )
@@ -482,6 +483,19 @@ SELF_TESTS = [
         "void micro(float* c, __m256 a, __m256 b) {\n"
         "  _mm256_storeu_ps(c, _mm256_fmadd_ps(a, b, _mm256_loadu_ps(c)));\n}\n",
         None,
+    ),
+    (
+        "intrinsics-in-avx512-kernel-tu-are-clean",
+        "src/kernels/simd_kernels_avx512.cpp",
+        "#include <immintrin.h>\n"
+        "__m512 f(__m512 a, __m512 b, __m512 c) { return _mm512_fmadd_ps(a, b, c); }\n",
+        None,
+    ),
+    (
+        "avx512-intrinsic-outside-kernel-tu",
+        "src/autograd/ops.cpp",
+        "__m512 f(__m512 a, __m512 b, __m512 c) { return _mm512_fmadd_ps(a, b, c); }\n",
+        "simd-confinement",
     ),
     (
         "intrinsic-comment-mention-is-clean",
