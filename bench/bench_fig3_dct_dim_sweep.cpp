@@ -17,7 +17,7 @@ int main() {
   util::Table table({"DCT mask dim", "Avg Success", "Worst Success", "L2 Dissimilarity"});
   for (const int dim : {4, 8, 16, 32}) {
     const auto sweep =
-        eval::AdaptiveSweep{env.scale, attack::low_frequency_adapter(dim)}.run(
+        eval::WhiteboxSweep{env.scale, attack::low_frequency_adapter(dim)}.run(
             env.harness, "dw7", legit, env.stop_set);
     table.add_row({std::to_string(dim), util::Table::pct(sweep.average_success),
                    util::Table::pct(sweep.worst_success), util::Table::num(sweep.mean_l2)});

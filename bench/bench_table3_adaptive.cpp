@@ -49,7 +49,7 @@ int main() {
   // Every victim's adaptive sweep rides one cross-victim scheduler: the
   // per-target crafting jobs of all the defenses run concurrently across
   // their replica shards instead of finishing one victim before the next.
-  // Results are bitwise identical to per-victim AdaptiveSweep::run() calls.
+  // Results are bitwise identical to per-victim WhiteboxSweep::run() calls.
   eval::SweepScheduler scheduler(env.harness);
   std::vector<std::size_t> jobs;
   for (const auto& row : rows) {
@@ -58,7 +58,7 @@ int main() {
     } else {
       env.add_zoo_victim(row.variant);
     }
-    jobs.push_back(scheduler.add(eval::AdaptiveSweep{env.scale, row.adapt}, row.variant,
+    jobs.push_back(scheduler.add(eval::WhiteboxSweep{env.scale, row.adapt}, row.variant,
                                  env.victim_accuracy(row.variant), env.stop_set));
   }
   scheduler.run();

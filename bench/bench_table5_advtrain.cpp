@@ -32,7 +32,7 @@ int main() {
 
   util::Table table({"Attack", "Avg Success", "Worst Success", "L2 Dissimilarity"});
   for (const auto& row : rows) {
-    const auto sweep = eval::AdaptiveSweep{env.scale, row.adapt}.run(env.harness, "advtrain",
+    const auto sweep = eval::WhiteboxSweep{env.scale, row.adapt}.run(env.harness, "advtrain",
                                                                      legit, env.stop_set);
     table.add_row({row.label, util::Table::pct(sweep.average_success),
                    util::Table::pct(sweep.worst_success), util::Table::num(sweep.mean_l2)});

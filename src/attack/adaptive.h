@@ -4,7 +4,7 @@
 //
 // Each *_config function maps a base config to its adaptive variant; the
 // *_adapter factories package the same mapping as a reusable Rp2Adapter for
-// the evaluation protocols (eval::AdaptiveSweep tailors the sweep's base
+// the evaluation protocols (eval::WhiteboxSweep::adapt tailors the sweep's base
 // config per victim through one of these).
 #pragma once
 

@@ -47,8 +47,9 @@ struct PgdConfig {
 };
 
 /// Untargeted (maximize loss on true labels) or targeted PGD. Gradients go
-/// through `victim.gradient_model()`; the final clean/adversarial predictions
-/// through `victim.classify()` (a plain nn::LisaCnn converts implicitly).
+/// through `victim.gradient_model()`, a frozen view, to the input only; the
+/// final clean/adversarial predictions through `victim.classify()` (a plain
+/// nn::LisaCnn converts implicitly).
 AttackResult pgd_attack(const VictimHandle& victim, const tensor::Tensor& images,
                         const std::vector<int>& labels, const PgdConfig& config);
 

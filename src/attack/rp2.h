@@ -86,8 +86,9 @@ struct Rp2Config {
 /// Attack a batch of images. `masks` is [N,1,H,W] (the sticker mask M_x).
 /// Returns adversarial examples clamped to [0,1] plus victim predictions.
 ///
-/// The optimization differentiates through `victim.gradient_model()`; the
-/// final clean/adversarial predictions go through `victim.classify()`, so an
+/// The optimization differentiates through `victim.gradient_model()`, a
+/// frozen view, so only the perturbation gets a gradient; the final
+/// clean/adversarial predictions go through `victim.classify()`, so an
 /// engine-backed handle serves them from the batched inference path. A plain
 /// nn::LisaCnn converts implicitly to a handle that uses the model for both.
 AttackResult rp2_attack(const VictimHandle& victim, const tensor::Tensor& images,

@@ -23,12 +23,16 @@ void require_scale_interval(const char* config_name, double min_scale, double ma
 /// The two faces of an attack victim, split so each can be served by the
 /// right machinery:
 ///
-///   * the **gradient side** — the differentiable nn::LisaCnn the optimizer
-///     backpropagates through while crafting the perturbation, and
+///   * the **gradient side** — a frozen view (nn::LisaCnn::frozen()) of the
+///     model the optimizer backpropagates through while crafting the
+///     perturbation. The view shares the model's weight buffers, but none of
+///     its parameters requires gradients, so crafting computes only the input
+///     gradient and never writes to the victim: any number of attacks may
+///     craft on one model (or one serving replica) at once, and
 ///   * the **prediction side** — how the final clean/adversarial inputs are
 ///     classified. In the engine-backed evaluation harness this is a batched
 ///     serve::InferenceEngine::classify call on the victim's variant; when no
-///     predict function is supplied it falls back to the gradient model's own
+///     predict function is supplied it falls back to the view's own
 ///     predict(), which is bitwise-identical for any replica count or batch
 ///     split.
 ///
@@ -41,27 +45,26 @@ void require_scale_interval(const char* config_name, double min_scale, double ma
 /// (autograd::straight_through). The prediction side needs no special
 /// handling — the engine applies the transform server-side.
 ///
-/// The handle is non-owning: the gradient model (and anything the predict /
-/// transform functions capture) must outlive it.
+/// The handle holds the view by value (weight buffers are reference counted),
+/// so the model may go away first; anything the predict / transform
+/// functions capture must outlive the handle.
 class VictimHandle {
  public:
   using PredictFn = std::function<std::vector<int>(const tensor::Tensor&)>;
   using TransformFn = std::function<tensor::Tensor(const tensor::Tensor&)>;
 
-  /// Wrap a plain model: gradients and predictions both come from `model`.
-  /*implicit*/ VictimHandle(const nn::LisaCnn& model) : gradient_model_(&model) {}
-  /// Split roles: gradients from `model`, final classifications via `predict`.
-  VictimHandle(const nn::LisaCnn& model, PredictFn predict)
-      : gradient_model_(&model), predict_(std::move(predict)) {}
-  /// Full pipeline: gradients from `model`, classifications via `predict`,
-  /// and the victim's input transform exposed for BPDA crafting. A null
-  /// `transform` means the victim serves the bare forward path.
-  VictimHandle(const nn::LisaCnn& model, PredictFn predict, TransformFn transform)
-      : gradient_model_(&model),
+  /// Gradients from a frozen view of `model`; final classifications via
+  /// `predict` (null: the model's own predict()); the victim's input
+  /// transform exposed for BPDA crafting (null: the bare forward path). A
+  /// plain model converts implicitly.
+  /*implicit*/ VictimHandle(const nn::LisaCnn& model, PredictFn predict = nullptr,
+                            TransformFn transform = nullptr)
+      : gradient_model_(model.frozen()),
         predict_(std::move(predict)),
         transform_(std::move(transform)) {}
 
-  const nn::LisaCnn& gradient_model() const { return *gradient_model_; }
+  /// The frozen view crafting differentiates through.
+  const nn::LisaCnn& gradient_model() const { return gradient_model_; }
 
   /// True when the victim serves an input transform the attacker must BPDA
   /// through.
@@ -75,11 +78,11 @@ class VictimHandle {
 
   /// Classify a batch through the prediction side.
   std::vector<int> classify(const tensor::Tensor& images) const {
-    return predict_ ? predict_(images) : gradient_model_->predict(images);
+    return predict_ ? predict_(images) : gradient_model_.predict(images);
   }
 
  private:
-  const nn::LisaCnn* gradient_model_;
+  nn::LisaCnn gradient_model_;
   PredictFn predict_;
   TransformFn transform_;
 };

@@ -36,7 +36,8 @@ bool needs_grad(const Variable& x, const Variable& w, const Variable& b) {
 // Per-thread scratch reused across convolution forwards (with or without
 // gradients), so a warm serving thread runs the whole conv forward without
 // touching the allocator. conv2d pads one image at a time into `padded` (the
-// depthwise kernel reuses it for its padded batch, sequentially) and packs one
+// depthwise forward and dW reuse it for their padded batch, the depthwise dX
+// for one padded gradient plane at a time, sequentially) and packs one
 // kNr-wide column strip of the implicit im2col matrix into `strip`; the
 // calling thread also packs the weights into `packed_w`, which every pool
 // lane then reads for the duration of the parallel region. Nothing here
@@ -557,61 +558,76 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
 
   return make_op(
       "depthwise_conv2d", std::move(out), {x, w, b},
-      [x, w, b, n, c, h, wdim, kh, kw, ph, pw](Node& node) mutable {
+      [x, w, b, n, c, h, wdim, hp, wp, kh, kw, ph, pw](Node& node) mutable {
+        // Both halves run on padded buffers, as the forward does, so no tap
+        // needs a border check. A padding cell adds an exact ±0 product to a
+        // sum that starts at +0, which leaves its bits unchanged for finite
+        // values; a NaN/Inf tap or gradient propagates per IEEE.
         const Tensor& g = node.grad();
         if (b.defined() && b.requires_grad()) {
           b.node()->accumulate_grad(tensor::reduce_nhw(g));
         }
         if (w.requires_grad()) {
+          auto& padded = conv_scratch().padded;
+          padded.resize(static_cast<std::size_t>(n * c * hp * wp));
+          tensor::pad2d_into(x.value().data(), n * c, h, wdim, ph, pw, padded.data());
+          const float* xp = padded.data();
           Tensor dw(w.value().shape());
-          const float* xv = x.value().data();
-          for (std::int64_t p = 0; p < n * c; ++p) {
-            const std::int64_t ic = p % c;
-            const float* src = xv + p * h * wdim;
-            const float* gp = g.data() + p * h * wdim;
-            float* dker = dw.data() + ic * kh * kw;
-            for (int fy = 0; fy < kh; ++fy) {
-              for (int fx = 0; fx < kw; ++fx) {
-                double acc = 0.0;
-                for (std::int64_t y = 0; y < h; ++y) {
-                  const std::int64_t sy = y + fy - ph;
-                  if (sy < 0 || sy >= h) continue;
-                  for (std::int64_t xx = 0; xx < wdim; ++xx) {
-                    const std::int64_t sx = xx + fx - pw;
-                    if (sx < 0 || sx >= wdim) continue;
-                    acc += static_cast<double>(gp[y * wdim + xx]) * src[sy * wdim + sx];
+          // Parallel over channels; each channel sums its images in
+          // ascending n, one float add of a double tap sum per image.
+          util::parallel_for(c, [&](std::int64_t c0, std::int64_t c1) {
+            for (std::int64_t ic = c0; ic < c1; ++ic) {
+              float* dker = dw.data() + ic * kh * kw;
+              for (std::int64_t in = 0; in < n; ++in) {
+                const float* src = xp + (in * c + ic) * hp * wp;
+                const float* gp = g.data() + (in * c + ic) * h * wdim;
+                for (int fy = 0; fy < kh; ++fy) {
+                  for (int fx = 0; fx < kw; ++fx) {
+                    double acc = 0.0;
+                    for (std::int64_t y = 0; y < h; ++y) {
+                      const float* srow = src + (y + fy) * wp + fx;
+                      const float* grow = gp + y * wdim;
+                      for (std::int64_t xx = 0; xx < wdim; ++xx) {
+                        acc += static_cast<double>(grow[xx]) * srow[xx];
+                      }
+                    }
+                    dker[fy * kw + fx] += static_cast<float>(acc);
                   }
                 }
-                dker[fy * kw + fx] += static_cast<float>(acc);
               }
             }
-          }
+          }, /*min_chunk=*/1);
           w.node()->accumulate_grad(dw);
         }
         if (x.requires_grad()) {
           Tensor dx(x.value().shape());
           const float* wv = w.value().data();
           util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
+            auto& plane = conv_scratch().padded;
+            plane.resize(static_cast<std::size_t>(hp * wp));
             for (std::int64_t p = p0; p < p1; ++p) {
-              const std::int64_t ic = p % c;
-              const float* ker = wv + ic * kh * kw;
+              const float* ker = wv + (p % c) * kh * kw;
               const float* gp = g.data() + p * h * wdim;
-              float* dst = dx.data() + p * h * wdim;
-              // Correlation adjoint: scatter each output grad through the kernel.
+              // Correlation adjoint: scatter each output grad through the
+              // kernel into a zeroed padded plane. Every element receives its
+              // products in the order of a row-major scatter over outputs
+              // (y ascending, then x ascending, so fx descending), and the
+              // inner loop runs over contiguous outputs.
+              std::fill(plane.begin(), plane.end(), 0.0f);
               for (std::int64_t y = 0; y < h; ++y) {
-                for (std::int64_t xx = 0; xx < wdim; ++xx) {
-                  const float gv = gp[y * wdim + xx];
-                  if (gv == 0.0f) continue;
-                  for (int fy = 0; fy < kh; ++fy) {
-                    const std::int64_t sy = y + fy - ph;
-                    if (sy < 0 || sy >= h) continue;
-                    for (int fx = 0; fx < kw; ++fx) {
-                      const std::int64_t sx = xx + fx - pw;
-                      if (sx < 0 || sx >= wdim) continue;
-                      dst[sy * wdim + sx] += ker[fy * kw + fx] * gv;
-                    }
+                const float* grow = gp + y * wdim;
+                for (int fy = 0; fy < kh; ++fy) {
+                  for (int fx = kw - 1; fx >= 0; --fx) {
+                    const float k = ker[fy * kw + fx];
+                    float* drow = plane.data() + (y + fy) * wp + fx;
+                    for (std::int64_t xx = 0; xx < wdim; ++xx) drow[xx] += k * grow[xx];
                   }
                 }
+              }
+              float* dst = dx.data() + p * h * wdim;
+              for (std::int64_t y = 0; y < h; ++y) {
+                const float* interior = plane.data() + (y + ph) * wp + pw;
+                std::copy(interior, interior + wdim, dst + y * wdim);
               }
             }
           }, /*min_chunk=*/1);
@@ -906,51 +922,55 @@ Variable affine_warp(const Variable& x, const std::vector<Affine2D>& transforms)
   // The forward per-row gather+lerp is kernel-dispatched; every target
   // evaluates the inverse map, weights, and tap sum in the same double op
   // order with out-of-bounds taps contributing exact +0, so results are
-  // bitwise identical across targets. The backward scatter stays scalar.
+  // bitwise identical across targets. Forward and backward run in parallel
+  // over planes; a plane reads and writes only its own rows.
   const kernels::WarpRowFn warp =
       kernels::warp_row(util::active_kernel_target());
-  for (std::int64_t p = 0; p < n * c; ++p) {
-    const Affine2D& t = transforms[static_cast<std::size_t>(p / c)];
-    const kernels::WarpCoeffs coeffs{t.m00, t.m01, t.tx, t.m10, t.m11, t.ty};
-    const float* src = xv + p * h * w;
-    float* dst = out.data() + p * h * w;
-    for (std::int64_t y = 0; y < h; ++y) {
-      warp(src, h, w, coeffs, y, dst + y * w);
+  util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const Affine2D& t = transforms[static_cast<std::size_t>(p / c)];
+      const kernels::WarpCoeffs coeffs{t.m00, t.m01, t.tx, t.m10, t.m11, t.ty};
+      const float* src = xv + p * h * w;
+      float* dst = out.data() + p * h * w;
+      for (std::int64_t y = 0; y < h; ++y) {
+        warp(src, h, w, coeffs, y, dst + y * w);
+      }
     }
-  }
+  }, /*min_chunk=*/1);
   return make_op("affine_warp", std::move(out), {x},
                  [x, transforms, n, c, h, w](Node& node) mutable {
     if (!x.requires_grad()) return;
     Tensor dx(x.value().shape());
     const float* g = node.grad().data();
-    for (std::int64_t p = 0; p < n * c; ++p) {
-      const Affine2D& t = transforms[static_cast<std::size_t>(p / c)];
-      const float* gp = g + p * h * w;
-      float* dst = dx.data() + p * h * w;
-      for (std::int64_t y = 0; y < h; ++y) {
-        for (std::int64_t xx = 0; xx < w; ++xx) {
-          const float gv = gp[y * w + xx];
-          if (gv == 0.0f) continue;
-          const double in_x = t.m00 * xx + t.m01 * y + t.tx;
-          const double in_y = t.m10 * xx + t.m11 * y + t.ty;
-          const std::int64_t x0 = static_cast<std::int64_t>(std::floor(in_x));
-          const std::int64_t y0 = static_cast<std::int64_t>(std::floor(in_y));
-          const double fx = in_x - x0;
-          const double fy = in_y - y0;
-          for (int dyi = 0; dyi <= 1; ++dyi) {
-            const std::int64_t sy = y0 + dyi;
-            if (sy < 0 || sy >= h) continue;
-            const double wy = dyi ? fy : 1.0 - fy;
-            for (int dxi = 0; dxi <= 1; ++dxi) {
-              const std::int64_t sx = x0 + dxi;
-              if (sx < 0 || sx >= w) continue;
-              const double wx = dxi ? fx : 1.0 - fx;
-              dst[sy * w + sx] += static_cast<float>(wy * wx * gv);
+    util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
+      for (std::int64_t p = p0; p < p1; ++p) {
+        const Affine2D& t = transforms[static_cast<std::size_t>(p / c)];
+        const float* gp = g + p * h * w;
+        float* dst = dx.data() + p * h * w;
+        for (std::int64_t y = 0; y < h; ++y) {
+          for (std::int64_t xx = 0; xx < w; ++xx) {
+            const float gv = gp[y * w + xx];
+            const double in_x = t.m00 * xx + t.m01 * y + t.tx;
+            const double in_y = t.m10 * xx + t.m11 * y + t.ty;
+            const std::int64_t x0 = static_cast<std::int64_t>(std::floor(in_x));
+            const std::int64_t y0 = static_cast<std::int64_t>(std::floor(in_y));
+            const double fx = in_x - x0;
+            const double fy = in_y - y0;
+            for (int dyi = 0; dyi <= 1; ++dyi) {
+              const std::int64_t sy = y0 + dyi;
+              if (sy < 0 || sy >= h) continue;
+              const double wy = dyi ? fy : 1.0 - fy;
+              for (int dxi = 0; dxi <= 1; ++dxi) {
+                const std::int64_t sx = x0 + dxi;
+                if (sx < 0 || sx >= w) continue;
+                const double wx = dxi ? fx : 1.0 - fx;
+                dst[sy * w + sx] += static_cast<float>(wy * wx * gv);
+              }
             }
           }
         }
       }
-    }
+    }, /*min_chunk=*/1);
     x.node()->accumulate_grad(dx);
   });
 }

@@ -136,11 +136,8 @@ double Harness::stop_sign_accuracy(const std::string& victim, const Tensor& imag
   return static_cast<double>(correct) / static_cast<double>(predictions.size());
 }
 
-attack::VictimHandle Harness::victim_handle(const std::string& victim, int slot) const {
+attack::VictimHandle Harness::victim_handle(const std::string& victim) const {
   const Victim& entry = require_victim(victim);
-  if (slot < 0) throw std::invalid_argument("Harness::victim_handle: slot must be >= 0");
-  const int replicas = engine_->replica_count(entry.name);
-  const nn::LisaCnn& gradient_model = engine_->replica_model(entry.name, slot % replicas);
   // The closures capture the engine pointer and the variant name by value so
   // the handle stays valid as long as the engine does. A transform-wrapped
   // victim's handle also carries the variant's (shared, immutable) input
@@ -153,7 +150,7 @@ attack::VictimHandle Harness::victim_handle(const std::string& victim, int slot)
       return transform->apply(images);
     };
   }
-  return attack::VictimHandle(gradient_model,
+  return attack::VictimHandle(engine_->replica_model(entry.name, 0),
                               [engine, name = entry.name](const Tensor& images) {
                                 return engine_labels(*engine, name, images);
                               },
@@ -218,12 +215,6 @@ SweepScheduler::VictimLanes& SweepScheduler::lanes_for(const std::string& victim
 
 std::size_t SweepScheduler::add(const WhiteboxSweep& protocol, const std::string& victim,
                                 double legit_accuracy, const data::StopSignSet& eval_set) {
-  AdaptiveSweep plain{protocol.scale, nullptr};
-  return add(plain, victim, legit_accuracy, eval_set);
-}
-
-std::size_t SweepScheduler::add(const AdaptiveSweep& protocol, const std::string& victim,
-                                double legit_accuracy, const data::StopSignSet& eval_set) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (ran_) throw std::logic_error("SweepScheduler::add: scheduler already ran");
   harness_->replica_count(victim);  // validates the victim is registered
@@ -263,11 +254,11 @@ std::size_t SweepScheduler::add(const TransferMatrix& protocol, const std::strin
   return id;
 }
 
-/// Craft one target's sticker against the job's victim through lane `slot`'s
-/// replica and fill the task's slot in the job's per-target storage.
-void SweepScheduler::run_task(const Harness& harness, Job& job, std::size_t t, int slot) {
+/// Craft one target's sticker against the job's victim and fill the task's
+/// slot in the job's per-target storage.
+void SweepScheduler::run_task(const Harness& harness, Job& job, std::size_t t) {
   const auto crafted =
-      attack::rp2_attack(harness.victim_handle(job.victim, slot), job.craft_set.images,
+      attack::rp2_attack(harness.victim_handle(job.victim), job.craft_set.images,
                          job.craft_sticker, job.configs[t]);
   const auto adversarial = attack::apply_shared_sticker(job.eval_set->images,
                                                         job.eval_sticker, crafted.shared_delta);
@@ -348,7 +339,7 @@ void SweepScheduler::run() {
           for (std::size_t i = static_cast<std::size_t>(lane); i < group.tasks.size();
                i += static_cast<std::size_t>(group.lanes)) {
             const auto [job_index, target_index] = group.tasks[i];
-            run_task(*harness_, *jobs_[job_index], target_index, lane);
+            run_task(*harness_, *jobs_[job_index], target_index);
             group.done.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -458,15 +449,6 @@ std::vector<VictimProgress> SweepScheduler::progress() const {
 // ---- protocol objects: single-job schedulers --------------------------------
 
 SweepResult WhiteboxSweep::run(const Harness& harness, const std::string& victim,
-                               double legit_accuracy,
-                               const data::StopSignSet& eval_set) const {
-  SweepScheduler scheduler(harness);
-  const std::size_t job = scheduler.add(*this, victim, legit_accuracy, eval_set);
-  scheduler.run();
-  return scheduler.sweep_result(job);
-}
-
-SweepResult AdaptiveSweep::run(const Harness& harness, const std::string& victim,
                                double legit_accuracy,
                                const data::StopSignSet& eval_set) const {
   SweepScheduler scheduler(harness);

@@ -9,15 +9,17 @@
 //     engine's base model, an input-transform defense, an alias) through
 //     serve::InferenceEngine::register_variant; adopt_variant marks an
 //     already-registered variant as a victim.
-//   * Protocol objects (WhiteboxSweep, TransferMatrix, AdaptiveSweep) submit
-//     every clean/adversarial classification batch through
+//   * Protocol objects (WhiteboxSweep, TransferMatrix) submit every
+//     clean/adversarial classification batch through
 //     classify(images, Options{variant}) and run their crafting through the
 //     cross-victim SweepScheduler: every victim's per-target RP2 jobs are
-//     striped over that victim's replica slots (replica k's model handles the
-//     gradient side of its lane's targets, so no two concurrent crafting runs
-//     share autograd state), and *different victims' lanes run concurrently*
-//     — a multi-victim evaluation saturates every registered replica shard
-//     instead of sweeping victims one after another.
+//     striped over up to replica-count lanes, and *different victims' lanes
+//     run concurrently* — a multi-victim evaluation keeps every registered
+//     replica shard busy instead of sweeping victims one after another. Each
+//     crafting run differentiates a frozen view of the victim's weights
+//     (nn::LisaCnn::frozen()), which computes only the input gradient and
+//     writes nothing, so lanes — even two victims aliasing one shard — share
+//     no mutable autograd state.
 //
 // Hard invariant, inherited from the serving layer and preserved by the
 // scheduler: per-image predictions and every aggregated table number are
@@ -92,15 +94,14 @@ class Harness {
   /// Fraction of `images` classified as the stop sign (Table I "Accuracy").
   double stop_sign_accuracy(const std::string& victim, const tensor::Tensor& images) const;
 
-  /// Attack handle for fan-out slot `slot`: gradients through replica
-  /// (slot % replica_count)'s model — every replica is a bitwise-identical
-  /// deep clone, but each owns its autograd state, so distinct slots can
-  /// craft concurrently — and predictions through the engine's batched
-  /// classify on the victim's variant (no smoothing: the handle's
-  /// predictions mirror the raw serving path; prediction policy is applied
-  /// by predict()). A transform-wrapped victim's handle also carries the
-  /// variant's input transform for BPDA crafting.
-  attack::VictimHandle victim_handle(const std::string& victim, int slot = 0) const;
+  /// Attack handle: gradients through a frozen view of the variant's weights
+  /// (read-only, so any number of handles may craft concurrently) and
+  /// predictions through the engine's batched classify on the victim's
+  /// variant (no smoothing: the handle's predictions mirror the raw serving
+  /// path; prediction policy is applied by predict()). A transform-wrapped
+  /// victim's handle also carries the variant's input transform for BPDA
+  /// crafting.
+  attack::VictimHandle victim_handle(const std::string& victim) const;
 
  private:
   struct Victim {
@@ -122,22 +123,15 @@ class Harness {
 /// sign set at every target class; aggregates altered-ASR / L2. run() is a
 /// single-job SweepScheduler — enqueue several victims' sweeps on one
 /// scheduler to run them concurrently across their replica shards.
+///
+/// A non-null `adapt` makes it the adaptive sweep (Table III/V protocol): the
+/// protocol's base RP2 config is tailored to the victim through it
+/// (attack::low_frequency_adapter, attack::tv_aware_adapter, ...). `adapt` is
+/// invoked once per target on the thread that prepares the schedule, before
+/// the crafting fan-out, so it needs no synchronization of its own.
 struct WhiteboxSweep {
   ExperimentScale scale;
-
-  SweepResult run(const Harness& harness, const std::string& victim, double legit_accuracy,
-                  const data::StopSignSet& eval_set) const;
-};
-
-/// Adaptive white-box sweep (Table III/V protocol): the same target sweep
-/// with the protocol's base RP2 config tailored to the victim through
-/// `adapt` (attack::low_frequency_adapter, attack::tv_aware_adapter, ...).
-/// `adapt` is invoked once per target on the thread that prepares the
-/// schedule, before the crafting fan-out, so it needs no synchronization of
-/// its own.
-struct AdaptiveSweep {
-  ExperimentScale scale;
-  ConfigAdapter adapt;
+  ConfigAdapter adapt = nullptr;
 
   SweepResult run(const Harness& harness, const std::string& victim, double legit_accuracy,
                   const data::StopSignSet& eval_set) const;
@@ -169,9 +163,11 @@ struct VictimProgress {
 /// adaptive sweeps, transfer matrices) for *different* victims and run every
 /// crafting job concurrently across each victim's replica shards instead of
 /// finishing one victim before starting the next. Within a victim, lane l
-/// owns that victim's tasks l, l+L, ... (one lane per replica, so no two
-/// concurrent crafting runs share a replica's autograd state); across
-/// victims, all lanes run in parallel on the process pool.
+/// owns that victim's tasks l, l+L, ... (at most one lane per replica);
+/// across victims, all lanes run in parallel on the process pool. Every
+/// task crafts on its own Harness::victim_handle, a frozen view that only
+/// reads the shard's weights, so lanes of one victim — or of two victims
+/// aliasing one shard — never write shared state.
 ///
 /// Results are bitwise identical to running each protocol's run() by itself,
 /// for any replica count and any lane interleaving: per-target crafting
@@ -193,8 +189,6 @@ class SweepScheduler {
   /// Enqueue a protocol. The returned job id indexes the matching
   /// *_result() accessor. `eval_set` is borrowed and must outlive run().
   std::size_t add(const WhiteboxSweep& protocol, const std::string& victim,
-                  double legit_accuracy, const data::StopSignSet& eval_set);
-  std::size_t add(const AdaptiveSweep& protocol, const std::string& victim,
                   double legit_accuracy, const data::StopSignSet& eval_set);
   std::size_t add(const TransferMatrix& protocol, const std::string& source,
                   std::vector<std::string> victims, const data::StopSignSet& eval_set);
@@ -218,7 +212,7 @@ class SweepScheduler {
   struct VictimLanes;
 
   VictimLanes& lanes_for(const std::string& victim);
-  static void run_task(const Harness& harness, Job& job, std::size_t target_index, int slot);
+  static void run_task(const Harness& harness, Job& job, std::size_t target_index);
 
   const Harness* harness_;
   std::vector<std::unique_ptr<Job>> jobs_;

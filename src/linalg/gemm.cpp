@@ -102,10 +102,10 @@ static_assert(kMc % kernels::kGemmMaxMr == 0,
 // and B is read in place, so per element this is the microtile's fold over
 // the same operands, k-blocks stored then added in ascending order. Serial:
 // m < mr is one microtile row, which the tiled path never split either.
-void sgemm_rows(kernels::GemmRowFn row_fn, Trans trans_a, std::int64_t m,
-                std::int64_t n, std::int64_t k, const float* a, std::int64_t lda,
-                const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
-                bool accumulate) {
+void sgemm_rows(kernels::GemmRowFn row_fn, kernels::GemmStoreFn store_fn, Trans trans_a,
+                std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+                std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+                std::int64_t ldc, bool accumulate) {
   float arow[kKc];
   float acc[kNc];
   for (std::int64_t i = 0; i < m; ++i) {
@@ -116,10 +116,11 @@ void sgemm_rows(kernels::GemmRowFn row_fn, Trans trans_a, std::int64_t m,
         const std::int64_t kc = std::min(kKc, k - kb);
         for (std::int64_t kk = 0; kk < kc; ++kk) arow[kk] = load_a(trans_a, a, lda, i, kb + kk);
         row_fn(kc, arow, b + kb * ldb + jc, ldb, nc, acc);
-        if (kb == 0 && !accumulate) {
-          std::copy(acc, acc + nc, crow);
-        } else {
-          for (std::int64_t jj = 0; jj < nc; ++jj) crow[jj] += acc[jj];
+        // The tile path's writeback, one kNr-wide row slice at a time, so a
+        // row's bits (NaN signs included) do not depend on m < mr.
+        for (std::int64_t j0 = 0; j0 < nc; j0 += kNr) {
+          store_fn(acc + j0, 1, std::min(kNr, nc - j0), crow + j0, ldc, kb == 0 && !accumulate,
+                   /*bias=*/nullptr, /*relu=*/false);
         }
       }
     }
@@ -151,7 +152,7 @@ void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
   const std::int64_t mr = mk.mr;
   if (m < mr && trans_b == Trans::kNo) {
     if (const kernels::GemmRowFn row_fn = kernels::gemm_row(target)) {
-      sgemm_rows(row_fn, trans_a, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+      sgemm_rows(row_fn, store_fn, trans_a, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
       return;
     }
   }

@@ -203,6 +203,16 @@ LisaCnn LisaCnn::clone_with_config(const LisaCnnConfig& config) const {
   return copy;
 }
 
+LisaCnn LisaCnn::frozen() const {
+  LisaCnn view = *this;
+  for (Variable* param : {&view.conv1_w_, &view.conv1_b_, &view.conv2_w_, &view.conv2_b_,
+                          &view.conv3_w_, &view.conv3_b_, &view.fc_w_, &view.fc_b_,
+                          &view.dw_weight_}) {
+    if (param->defined()) *param = Variable::leaf(param->value(), /*requires_grad=*/false);
+  }
+  return view;
+}
+
 void LisaCnn::save(const std::string& path) const { save_parameters(path, named_parameters()); }
 
 void LisaCnn::load(const std::string& path) {

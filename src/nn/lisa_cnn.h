@@ -101,6 +101,13 @@ class LisaCnn {
   /// only exist in the new architecture (e.g. a learnable depthwise layer)
   /// keep their deterministic seed initialization.
   LisaCnn clone_with_config(const LisaCnnConfig& config) const;
+  /// Read-only view for differentiating the input: the same architecture
+  /// over the same weight buffers, with every parameter a leaf that does not
+  /// require gradients. A backward through it computes no weight gradient
+  /// and writes nothing to this model, so concurrent attacks may share it.
+  /// The view holds the buffers as of the call; copy_weights_from()/load()
+  /// on this model afterwards install new buffers the view does not see.
+  LisaCnn frozen() const;
 
   void save(const std::string& path) const;
   void load(const std::string& path);

@@ -229,9 +229,10 @@ class InferenceEngine {
   std::vector<std::string> variant_names() const;
   bool has_variant(const std::string& name) const;
   /// The model served by replica `index` of the named variant. All replicas
-  /// are bitwise-identical, but each owns its parameters (and therefore its
-  /// autograd state), so gradient-side attack drivers can fan out across
-  /// replicas without sharing mutable state. Throws on a bad index.
+  /// are bitwise-identical deep clones. Gradient-side attack drivers read it
+  /// through a frozen view (nn::LisaCnn::frozen()), which never writes to it,
+  /// so any number of them may craft on one replica while it serves. Throws
+  /// on a bad index.
   const nn::LisaCnn& replica_model(const std::string& name, int index) const;
   int replica_count(const std::string& name) const;
   /// The named variant's preprocess stage; nullptr for plain variants.

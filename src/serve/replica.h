@@ -14,7 +14,10 @@
 // engine's base model, so every replica of a variant is bitwise identical and
 // routing a request to any of them yields bitwise-identical predictions. The
 // optional defense::InputTransform (the preprocess stage) is shared, const
-// and per-image, so it preserves that contract for any batch split.
+// and per-image, so it preserves that contract for any batch split. Attacks
+// craft on a frozen view of a replica's weights (eval::Harness::
+// victim_handle), which only reads them, so crafting never writes a
+// replica's state and needs no replica of its own.
 #pragma once
 
 #include <atomic>

@@ -20,9 +20,4 @@ tensor::Tensor make_blur_kernel(int size, KernelKind kind = KernelKind::kBox,
 /// would darken the edges).
 tensor::Tensor filter2d_depthwise(const tensor::Tensor& x, const tensor::Tensor& kernel);
 
-/// Per-channel kernels variant: `kernels` is [C, kh, kw]; channel c of the
-/// input is filtered with kernels[c]. Used by the learnable depthwise layer's
-/// inference path and by tests.
-tensor::Tensor filter2d_per_channel(const tensor::Tensor& x, const tensor::Tensor& kernels);
-
 }  // namespace blurnet::signal

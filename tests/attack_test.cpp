@@ -20,6 +20,7 @@
 namespace blurnet::attack {
 namespace {
 
+using blurnet::testing::any_parameter_has_grad;
 using blurnet::testing::tiny_trained_model;
 
 TEST(Masks, StickerInsideSignRegion) {
@@ -220,6 +221,77 @@ TEST(Rp2, EotSinglePoseBitwiseMatchesPreRefactorPath) {
   expect_results_bitwise_equal(
       rp2_attack(model, stop_set.images, sticker, low_freq),
       reference_rp2_single_pose(model, stop_set.images, sticker, low_freq));
+}
+
+// ---- crafting on a frozen view -------------------------------------------------
+
+// The RP2 loss of one step (masked sticker, EOT warp, cross-entropy, L2 and
+// NPS terms, a TV term on the first-layer maps) backpropagated to the
+// sticker through `model`; returns d(loss)/d(delta).
+tensor::Tensor rp2_step_gradient(const nn::LisaCnn& model, const tensor::Tensor& images,
+                                 const tensor::Tensor& masks) {
+  using autograd::Variable;
+  const std::int64_t n = images.dim(0), c = images.dim(1);
+  const int h = static_cast<int>(images.dim(2)), w = static_cast<int>(images.dim(3));
+  util::Rng rng(19);
+  Variable delta = Variable::leaf(
+      tensor::Tensor::rand_uniform(tensor::Shape::nchw(1, c, h, w), rng, -0.5f, 0.5f), true);
+  const Variable masked =
+      autograd::mul_const(autograd::broadcast_batch(delta, n), expand_mask_channels(masks, c));
+  const auto pose = autograd::Affine2D::rotation_scale_about_center(0.2, 1.1, 0.8, -0.6, h, w);
+  const Variable x_adv = autograd::add_const(autograd::affine_warp(masked, pose), images);
+  const auto fwd = model.forward(x_adv);
+  Variable loss = autograd::softmax_cross_entropy(
+      fwd.logits, std::vector<int>(static_cast<std::size_t>(n), 5));
+  loss = autograd::add(loss, autograd::mul_scalar(autograd::l2_norm(masked), 0.002f));
+  loss = autograd::add(loss, autograd::mul_scalar(autograd::nps_loss(masked, printable_palette()),
+                                                  0.1f));
+  loss = autograd::add(loss, autograd::tv_loss(fwd.features_l1_filtered));
+  autograd::backward(loss);
+  return delta.grad();
+}
+
+// A frozen view skips every weight gradient, yet hands the input exactly the
+// gradient the trainable model does: through the L1 feature-map blur and
+// through a learnable depthwise layer alike.
+TEST(FrozenView, Rp2InputGradientBitwiseEqualsTrainableModel) {
+  const auto stop_set = data::stop_sign_eval_set(3);
+  const auto sticker = sticker_mask(stop_set.masks);
+  nn::LisaCnnConfig blurred = tiny_trained_model().config();
+  blurred.fixed_filter = {nn::FilterPlacement::kAfterLayer1, 5, signal::KernelKind::kBox};
+  nn::LisaCnnConfig learnable = tiny_trained_model().config();
+  learnable.learnable_depthwise_kernel = 3;
+  for (const auto& config : {tiny_trained_model().config(), blurred, learnable}) {
+    const nn::LisaCnn trainable = tiny_trained_model().clone_with_config(config);
+    const nn::LisaCnn frozen = trainable.frozen();
+    const tensor::Tensor want = rp2_step_gradient(trainable, stop_set.images, sticker);
+    ASSERT_TRUE(any_parameter_has_grad(trainable));
+    const tensor::Tensor got = rp2_step_gradient(frozen, stop_set.images, sticker);
+    ASSERT_EQ(got.numel(), want.numel());
+    for (std::int64_t i = 0; i < want.numel(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "elem " << i;
+    }
+    for (const auto& param : frozen.parameters()) EXPECT_FALSE(param.requires_grad());
+    EXPECT_FALSE(any_parameter_has_grad(frozen));
+  }
+}
+
+// Crafting through a plain model converts it to a frozen view: after RP2 and
+// PGD, none of the model's parameter nodes has allocated a gradient.
+TEST(FrozenView, AttacksNeverAllocateVictimGradients) {
+  const nn::LisaCnn model = tiny_trained_model().clone();
+  const auto stop_set = data::stop_sign_eval_set(2);
+  Rp2Config rp2;
+  rp2.iterations = 3;
+  rp2.eot_poses = 2;
+  rp2.feature_reg.kind = FeatureRegTerm::Kind::kTv;
+  rp2.feature_reg.weight = 1.0;
+  rp2_attack(model, stop_set.images, sticker_mask(stop_set.masks), rp2);
+  PgdConfig pgd;
+  pgd.steps = 3;
+  pgd.eot_poses = 2;
+  pgd_attack(model, stop_set.images, std::vector<int>(2, 0), pgd);
+  EXPECT_FALSE(any_parameter_has_grad(model));
 }
 
 // ---- EOT pose sampler determinism -------------------------------------------

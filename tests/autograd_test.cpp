@@ -115,6 +115,113 @@ Tensor depthwise_oracle(const Tensor& x, const Tensor& w, const Tensor* bias) {
   return out;
 }
 
+// The depthwise backward and the affine-warp backward as they were before
+// they ran on padded buffers and in parallel: border-checked scatters that
+// skip a zero upstream gradient, a serial border-checked dW.
+Tensor depthwise_dx_oracle(const Tensor& w, const Tensor& g) {
+  const std::int64_t n = g.dim(0), c = g.dim(1), h = g.dim(2), wdim = g.dim(3);
+  const int kh = static_cast<int>(w.dim(1)), kw = static_cast<int>(w.dim(2));
+  const int ph = kh / 2, pw = kw / 2;
+  Tensor dx(g.shape());
+  const float* wv = w.data();
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const std::int64_t ic = p % c;
+    const float* ker = wv + ic * kh * kw;
+    const float* gp = g.data() + p * h * wdim;
+    float* dst = dx.data() + p * h * wdim;
+    // Correlation adjoint: scatter each output grad through the kernel.
+    for (std::int64_t y = 0; y < h; ++y) {
+      for (std::int64_t xx = 0; xx < wdim; ++xx) {
+        const float gv = gp[y * wdim + xx];
+        if (gv == 0.0f) continue;
+        for (int fy = 0; fy < kh; ++fy) {
+          const std::int64_t sy = y + fy - ph;
+          if (sy < 0 || sy >= h) continue;
+          for (int fx = 0; fx < kw; ++fx) {
+            const std::int64_t sx = xx + fx - pw;
+            if (sx < 0 || sx >= wdim) continue;
+            dst[sy * wdim + sx] += ker[fy * kw + fx] * gv;
+          }
+        }
+      }
+    }
+  }
+  return dx;
+}
+
+Tensor depthwise_dw_oracle(const Tensor& x, const Tensor& w, const Tensor& g) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), wdim = x.dim(3);
+  const int kh = static_cast<int>(w.dim(1)), kw = static_cast<int>(w.dim(2));
+  const int ph = kh / 2, pw = kw / 2;
+  Tensor dw(w.shape());
+  const float* xv = x.data();
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const std::int64_t ic = p % c;
+    const float* src = xv + p * h * wdim;
+    const float* gp = g.data() + p * h * wdim;
+    float* dker = dw.data() + ic * kh * kw;
+    for (int fy = 0; fy < kh; ++fy) {
+      for (int fx = 0; fx < kw; ++fx) {
+        double acc = 0.0;
+        for (std::int64_t y = 0; y < h; ++y) {
+          const std::int64_t sy = y + fy - ph;
+          if (sy < 0 || sy >= h) continue;
+          for (std::int64_t xx = 0; xx < wdim; ++xx) {
+            const std::int64_t sx = xx + fx - pw;
+            if (sx < 0 || sx >= wdim) continue;
+            acc += static_cast<double>(gp[y * wdim + xx]) * src[sy * wdim + sx];
+          }
+        }
+        dker[fy * kw + fx] += static_cast<float>(acc);
+      }
+    }
+  }
+  return dw;
+}
+
+Tensor affine_warp_dx_oracle(const std::vector<Affine2D>& transforms, const Tensor& grad) {
+  const std::int64_t n = grad.dim(0), c = grad.dim(1), h = grad.dim(2), w = grad.dim(3);
+  Tensor dx(grad.shape());
+  const float* g = grad.data();
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const Affine2D& t = transforms[static_cast<std::size_t>(p / c)];
+    const float* gp = g + p * h * w;
+    float* dst = dx.data() + p * h * w;
+    for (std::int64_t y = 0; y < h; ++y) {
+      for (std::int64_t xx = 0; xx < w; ++xx) {
+        const float gv = gp[y * w + xx];
+        if (gv == 0.0f) continue;
+        const double in_x = t.m00 * xx + t.m01 * y + t.tx;
+        const double in_y = t.m10 * xx + t.m11 * y + t.ty;
+        const std::int64_t x0 = static_cast<std::int64_t>(std::floor(in_x));
+        const std::int64_t y0 = static_cast<std::int64_t>(std::floor(in_y));
+        const double fx = in_x - x0;
+        const double fy = in_y - y0;
+        for (int dyi = 0; dyi <= 1; ++dyi) {
+          const std::int64_t sy = y0 + dyi;
+          if (sy < 0 || sy >= h) continue;
+          const double wy = dyi ? fy : 1.0 - fy;
+          for (int dxi = 0; dxi <= 1; ++dxi) {
+            const std::int64_t sx = x0 + dxi;
+            if (sx < 0 || sx >= w) continue;
+            const double wx = dxi ? fx : 1.0 - fx;
+            dst[sy * w + sx] += static_cast<float>(wy * wx * gv);
+          }
+        }
+      }
+    }
+  }
+  return dx;
+}
+
+// Upstream gradient for the backward oracles: every third entry an exact
+// zero of either sign, the rest N(0, 1), so the oracles' zero skip is hit.
+Tensor sparse_upstream(const Shape& shape, util::Rng& rng) {
+  Tensor g = Tensor::randn(shape, rng);
+  for (std::int64_t i = 0; i < g.numel(); i += 3) g[i] = (i / 3) % 2 ? -0.0f : 0.0f;
+  return g;
+}
+
 void expect_bitwise_equal(const Tensor& got, const Tensor& want, const std::string& where) {
   ASSERT_EQ(got.shape(), want.shape()) << where;
   for (std::int64_t i = 0; i < want.numel(); ++i) {
@@ -812,6 +919,93 @@ TEST(KernelDispatch, DepthwiseBothModesBitwiseEqualOracleAcrossTargets) {
         NoGradGuard no_grad;
         expect_bitwise_equal(depthwise_conv2d_same(x, kernel, bias).value(), oracle,
                              where + ", no grad");
+      }
+      util::reset_parallel_workers();
+    }
+  }
+}
+
+// The depthwise backward runs on padded buffers with no border checks or
+// zero skip, dW in parallel over channels: for finite values it reproduces
+// the border-checked scatter oracles bit for bit, with the weights trainable
+// or frozen, under every target and worker count.
+TEST(KernelDispatch, DepthwiseGradientsBitwiseEqualScatterOracles) {
+  util::Rng rng(93);
+  for (const int k : {3, 5, 7}) {
+    for (const std::int64_t width : {1, 7, 8, 9, 16, 17, 32}) {
+      // Three images: a sum of three floats depends on its order.
+      const Shape shape = Shape::nchw(3, 3, 6, width);
+      const Tensor xv = Tensor::randn(shape, rng);
+      Tensor kv = Tensor::randn(Shape{3, k, k}, rng);
+      kv[k + 1] = 0.0f;  // a zero tap: its products are exact ±0
+      const Tensor g = sparse_upstream(shape, rng);
+      const Tensor want_dx = depthwise_dx_oracle(kv, g);
+      const Tensor want_dw = depthwise_dw_oracle(xv, kv, g);
+      const std::string label = "k=" + std::to_string(k) + ", w=" + std::to_string(width);
+      for (const auto target : blurnet::testing::available_kernel_targets()) {
+        blurnet::testing::ScopedKernelTarget scoped(target);
+        for (const int workers : {1, 4}) {
+          util::set_parallel_workers(workers);
+          const std::string where = sweep_label(label.c_str(), target, workers);
+          for (const bool trainable : {true, false}) {
+            auto x = Variable::leaf(xv, true);
+            auto kernel = Variable::leaf(kv, trainable);
+            backward(sum(mul_const(depthwise_conv2d_same(x, kernel, Variable()), g)));
+            expect_same_bits(x.grad(), want_dx, where + ", dX");
+            if (trainable) {
+              expect_same_bits(kernel.grad(), want_dw, where + ", dW");
+            } else {
+              EXPECT_FALSE(kernel.has_grad()) << where;
+            }
+          }
+        }
+        util::reset_parallel_workers();
+      }
+    }
+  }
+}
+
+// The one intended difference from the oracle: a non-finite kernel tap meets
+// every upstream gradient, zeros included, so 0 x Inf = NaN reaches dX (the
+// oracle's zero skip dropped it and returned 0).
+TEST(Ops, DepthwiseDxPropagatesNonFiniteKernelTap) {
+  const Shape shape = Shape::nchw(1, 2, 5, 9);
+  auto x = Variable::leaf(Tensor::zeros(shape), true);
+  Tensor kv = Tensor::zeros(Shape{2, 3, 3});
+  kv[4] = std::numeric_limits<float>::infinity();         // channel 0 centre
+  kv[9 + 4] = std::numeric_limits<float>::quiet_NaN();    // channel 1 centre
+  const auto kernel = Variable::constant(kv);
+  backward(sum(mul_const(depthwise_conv2d_same(x, kernel, Variable()), Tensor::zeros(shape))));
+  const Tensor oracle = depthwise_dx_oracle(kv, Tensor::zeros(shape));
+  for (std::int64_t i = 0; i < shape.numel(); ++i) {
+    EXPECT_TRUE(std::isnan(x.grad()[i])) << "elem " << i;
+    EXPECT_EQ(oracle[i], 0.0f) << "elem " << i;
+  }
+}
+
+// The warp backward, parallel over planes and without its zero skip, equals
+// the serial scatter oracle bit for bit: rotations that push taps past every
+// edge, a shift that makes every tap out of bounds, and zero gradients.
+TEST(KernelDispatch, AffineWarpBackwardBitwiseEqualsScatterOracle) {
+  util::Rng rng(94);
+  for (const std::int64_t width : {1, 7, 8, 9, 16, 17, 32}) {
+    const Shape shape = Shape::nchw(3, 3, 9, width);
+    const Tensor xv = Tensor::randn(shape, rng);
+    Affine2D far_shift;
+    far_shift.tx = 40.0;
+    const std::vector<Affine2D> transforms{
+        Affine2D::rotation_scale_about_center(0.35, 1.2, 0.7, -0.4, 9, width), far_shift,
+        Affine2D::rotation_scale_about_center(-0.2, 0.9, -1.5, 0.3, 9, width)};
+    const Tensor g = sparse_upstream(shape, rng);
+    const Tensor want = affine_warp_dx_oracle(transforms, g);
+    for (const auto target : blurnet::testing::available_kernel_targets()) {
+      blurnet::testing::ScopedKernelTarget scoped(target);
+      for (const int workers : {1, 4}) {
+        util::set_parallel_workers(workers);
+        auto x = Variable::leaf(xv, true);
+        backward(sum(mul_const(affine_warp(x, transforms), g)));
+        expect_same_bits(x.grad(), want,
+                         sweep_label(("w=" + std::to_string(width)).c_str(), target, workers));
       }
       util::reset_parallel_workers();
     }

@@ -7,6 +7,8 @@
 
 #include "src/attack/adaptive.h"
 #include "src/attack/masks.h"
+#include "src/attack/pgd.h"
+#include "src/attack/rp2.h"
 #include "src/defense/input_transform.h"
 #include "src/eval/harness.h"
 #include "src/tensor/ops.h"
@@ -15,6 +17,7 @@
 namespace blurnet::eval {
 namespace {
 
+using blurnet::testing::any_parameter_has_grad;
 using blurnet::testing::tiny_trained_model;
 
 serve::VariantSpec transfer_spec(const nn::LisaCnnConfig& config) {
@@ -316,7 +319,7 @@ TEST(Scheduler, MultiVictimRunBitwiseEqualsIndividualRunsAcrossReplicaCounts) {
   const auto ref_sweep =
       WhiteboxSweep{scale}.run(reference, serve::kBaseVariant, 0.9, stop_set);
   const auto ref_adaptive =
-      AdaptiveSweep{scale, adapt}.run(reference, "filtered", 0.8, stop_set);
+      WhiteboxSweep{scale, adapt}.run(reference, "filtered", 0.8, stop_set);
   const auto ref_transfer = TransferMatrix{scale}.run(
       reference, serve::kBaseVariant, {std::string(serve::kBaseVariant), "filtered"},
       stop_set);
@@ -331,7 +334,7 @@ TEST(Scheduler, MultiVictimRunBitwiseEqualsIndividualRunsAcrossReplicaCounts) {
     const auto sweep_job =
         scheduler.add(WhiteboxSweep{scale}, serve::kBaseVariant, 0.9, stop_set);
     const auto adaptive_job =
-        scheduler.add(AdaptiveSweep{scale, adapt}, "filtered", 0.8, stop_set);
+        scheduler.add(WhiteboxSweep{scale, adapt}, "filtered", 0.8, stop_set);
     const auto transfer_job = scheduler.add(
         TransferMatrix{scale}, serve::kBaseVariant,
         {std::string(serve::kBaseVariant), "filtered"}, stop_set);
@@ -367,6 +370,57 @@ TEST(Scheduler, MultiVictimRunBitwiseEqualsIndividualRunsAcrossReplicaCounts) {
   }
 }
 
+// A victim and its alias share one replica shard, so their crafting lanes
+// run concurrently on the same weights. Crafting reads a frozen view and
+// writes nothing: both sweeps equal the solo run bitwise and the shard's
+// parameter nodes never get a gradient, which two lanes would otherwise
+// accumulate into at once.
+TEST(Scheduler, AliasVictimsCraftConcurrentlyOnOneShard) {
+  const auto& model = tiny_trained_model();
+  const auto stop_set = data::stop_sign_eval_set(3);
+  ExperimentScale scale = tiny_scale();
+  scale.eot_poses = 2;
+  Harness reference(model);
+  reference.adopt_variant(serve::kBaseVariant);
+  const auto solo = WhiteboxSweep{scale}.run(reference, serve::kBaseVariant, 0.9, stop_set);
+
+  Harness harness(model);
+  harness.adopt_variant(serve::kBaseVariant);
+  serve::VariantSpec alias;
+  alias.alias_of = serve::kBaseVariant;
+  harness.add_victim("alias", alias);
+  SweepScheduler scheduler(harness);
+  const auto base_job = scheduler.add(WhiteboxSweep{scale}, serve::kBaseVariant, 0.9, stop_set);
+  const auto alias_job = scheduler.add(WhiteboxSweep{scale}, "alias", 0.9, stop_set);
+  scheduler.run();
+  expect_sweeps_bitwise_equal(scheduler.sweep_result(base_job), solo, "base");
+  expect_sweeps_bitwise_equal(scheduler.sweep_result(alias_job), solo, "alias");
+  EXPECT_FALSE(any_parameter_has_grad(harness.engine().replica_model(serve::kBaseVariant, 0)));
+}
+
+// Neither RP2 nor PGD through a harness handle allocates a gradient in the
+// serving replica's parameter nodes.
+TEST(Harness, HandleAttacksNeverAllocateReplicaGradients) {
+  const auto& model = tiny_trained_model();
+  const auto stop_set = data::stop_sign_eval_set(2);
+  Harness harness(model, /*replicas=*/2);
+  harness.adopt_variant(serve::kBaseVariant);
+  attack::Rp2Config rp2;
+  rp2.iterations = 3;
+  rp2.eot_poses = 2;
+  attack::rp2_attack(harness.victim_handle(serve::kBaseVariant), stop_set.images,
+                     attack::sticker_mask(stop_set.masks), rp2);
+  attack::PgdConfig pgd;
+  pgd.steps = 3;
+  attack::pgd_attack(harness.victim_handle(serve::kBaseVariant), stop_set.images,
+                     std::vector<int>(2, 0), pgd);
+  for (const int r : {0, 1}) {
+    EXPECT_FALSE(
+        any_parameter_has_grad(harness.engine().replica_model(serve::kBaseVariant, r)))
+        << "replica " << r;
+  }
+}
+
 TEST(Scheduler, LifecycleAndKindValidation) {
   const auto& model = tiny_trained_model();
   const auto stop_set = data::stop_sign_eval_set(2);
@@ -394,7 +448,7 @@ TEST(Scheduler, LifecycleAndKindValidation) {
 }
 
 // The tentpole acceptance test: a victim served behind the engine's
-// preprocess->forward pipeline runs WhiteboxSweep / AdaptiveSweep bitwise
+// preprocess->forward pipeline runs WhiteboxSweep, plain and adaptive, bitwise
 // identical to the raw single-model reference (transform applied inline,
 // BPDA crafting through a hand-built handle) at every replica count.
 TEST(Harness, TransformedSweepsBitwiseEqualInlineReferenceAcrossReplicaCounts) {
@@ -428,7 +482,7 @@ TEST(Harness, TransformedSweepsBitwiseEqualInlineReferenceAcrossReplicaCounts) {
     // ...and both sweep protocols reproduce the inline reference bitwise.
     const auto whitebox = WhiteboxSweep{scale}.run(harness, "squeeze4", 0.9, stop_set);
     expect_sweeps_bitwise_equal(whitebox, ref_whitebox, context + " whitebox");
-    const auto adaptive = AdaptiveSweep{scale, attack::bpda_adapter()}.run(
+    const auto adaptive = WhiteboxSweep{scale, attack::bpda_adapter()}.run(
         harness, "squeeze4", 0.9, stop_set);
     expect_sweeps_bitwise_equal(adaptive, ref_adaptive, context + " adaptive");
     EXPECT_GT(harness.images_served("squeeze4"), 0) << context;
@@ -462,14 +516,14 @@ TEST(Harness, NoneTransformVictimReproducesPlainWhiteboxBitwise) {
   EXPECT_FALSE(attack::bpda_adapter(false)(base_config).bpda);
 }
 
-TEST(Harness, AdaptiveSweepAppliesAdapter) {
+TEST(Harness, WhiteboxSweepAppliesItsAdapter) {
   const auto& model = tiny_trained_model();
   const auto stop_set = data::stop_sign_eval_set(2);
   const auto scale = tiny_scale();
   Harness harness(model);
   harness.adopt_variant(serve::kBaseVariant);
   int adapter_calls = 0;
-  AdaptiveSweep sweep{scale, [&adapter_calls](const attack::Rp2Config& c) {
+  WhiteboxSweep sweep{scale, [&adapter_calls](const attack::Rp2Config& c) {
                         ++adapter_calls;
                         attack::Rp2Config out = c;
                         out.iterations = 2;  // keep it cheap
@@ -530,19 +584,21 @@ TEST(Harness, VictimHandleSplitsGradientAndPredictionSides) {
   const auto stop_set = data::stop_sign_eval_set(2);
   Harness harness(model, /*replicas=*/2);
   harness.adopt_variant(serve::kBaseVariant);
-  for (const int slot : {0, 1, 2, 3}) {
-    const auto handle = harness.victim_handle(serve::kBaseVariant, slot);
-    // Gradient side: a replica's deep clone, bitwise-equal to the source.
-    EXPECT_EQ(handle.gradient_model().predict(stop_set.images),
-              model.predict(stop_set.images))
-        << "slot " << slot;
-    // Prediction side: served by the engine.
-    const auto before = harness.images_served(serve::kBaseVariant);
-    EXPECT_EQ(handle.classify(stop_set.images), model.predict(stop_set.images))
-        << "slot " << slot;
-    EXPECT_EQ(harness.images_served(serve::kBaseVariant), before + 2);
+  const auto handle = harness.victim_handle(serve::kBaseVariant);
+  // Gradient side: a frozen view over the shard's weights, bitwise-equal to
+  // the source, with no parameter that could receive a gradient.
+  EXPECT_EQ(handle.gradient_model().predict(stop_set.images), model.predict(stop_set.images));
+  const auto view = handle.gradient_model().parameters();
+  const auto served = harness.engine().replica_model(serve::kBaseVariant, 0).parameters();
+  ASSERT_EQ(view.size(), served.size());
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    EXPECT_FALSE(view[i].requires_grad()) << "parameter " << i;
+    EXPECT_TRUE(view[i].value().shares_storage_with(served[i].value())) << "parameter " << i;
   }
-  EXPECT_THROW(harness.victim_handle(serve::kBaseVariant, -1), std::invalid_argument);
+  // Prediction side: served by the engine.
+  const auto before = harness.images_served(serve::kBaseVariant);
+  EXPECT_EQ(handle.classify(stop_set.images), model.predict(stop_set.images));
+  EXPECT_EQ(harness.images_served(serve::kBaseVariant), before + 2);
 }
 
 TEST(Results, WriteFileCreatesDirectoryAndContent) {

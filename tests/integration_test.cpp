@@ -125,7 +125,7 @@ TEST(Integration, AdaptiveAttackPathEndToEnd) {
   const auto stop_set = data::stop_sign_eval_set(scale.eval_images);
   eval::Harness harness(model);
   harness.adopt_variant(serve::kBaseVariant);
-  const auto sweep = eval::AdaptiveSweep{scale, attack::low_frequency_adapter(8)}.run(
+  const auto sweep = eval::WhiteboxSweep{scale, attack::low_frequency_adapter(8)}.run(
       harness, serve::kBaseVariant, 1.0, stop_set);
   EXPECT_EQ(sweep.per_target.size(), 1u);
 }

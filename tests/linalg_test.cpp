@@ -536,6 +536,42 @@ TEST(KernelDispatch, GemmRowPathPropagatesNanAndInf) {
   }
 }
 
+// The row path (m < mr) writes back through the same kernels::gemm_store as
+// the tile path, so a row's bits — NaN signs included — do not depend on
+// how many rows the GEMM has. k = 257 puts a +NaN in the first k-block and a
+// -NaN in the second, so the later-block add meets two NaNs of opposite sign.
+TEST(KernelDispatch, GemmRowNanBitsIndependentOfRowCount) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::int64_t n = 10, k = 257;
+  for (const auto target : available_kernel_targets()) {
+    ScopedKernelTarget guard(target);
+    const std::int64_t mr = kernels::gemm_microkernel(target).mr;
+    Tensor a = random_tensor(mr, k, 61);
+    const Tensor b = random_tensor(k, n, 62);
+    for (std::int64_t i = 0; i < mr; ++i) {
+      a[i * k] = nan;
+      a[i * k + 256] = -nan;
+    }
+    for (const bool accumulate : {false, true}) {
+      Tensor tiled(Shape::mat(mr, n));
+      sgemm(Trans::kNo, Trans::kNo, mr, n, k, a.data(), k, b.data(), n, tiled.data(), n,
+            accumulate);
+      for (std::int64_t m = 1; m < mr; ++m) {
+        Tensor rows(Shape::mat(m, n));
+        sgemm(Trans::kNo, Trans::kNo, m, n, k, a.data(), k, b.data(), n, rows.data(), n,
+              accumulate);
+        for (std::int64_t i = 0; i < m * n; ++i) {
+          std::uint32_t got = 0, want = 0;
+          std::memcpy(&got, rows.data() + i, sizeof got);
+          std::memcpy(&want, tiled.data() + i, sizeof want);
+          ASSERT_EQ(got, want) << util::kernel_target_name(target) << " m=" << m
+                               << " acc=" << accumulate << " elem " << i;
+        }
+      }
+    }
+  }
+}
+
 // The documented cross-target contract: fused targets may differ from the
 // scalar fold only in accumulation rounding. A standard forward-error bound
 // for a length-k float fold is ~k*eps*sum|a||b| per element; the difference

@@ -23,6 +23,14 @@ inline std::vector<util::KernelTarget> available_kernel_targets() {
   return out;
 }
 
+/// True when some parameter node of `model` has allocated a gradient.
+inline bool any_parameter_has_grad(const nn::LisaCnn& model) {
+  for (const auto& param : model.parameters()) {
+    if (param.has_grad()) return true;
+  }
+  return false;
+}
+
 /// Forces a dispatch target for one scope; the destructor restores env/probe
 /// resolution (so a BLURNET_FORCE_KERNEL CI run keeps its forced target).
 class ScopedKernelTarget {
